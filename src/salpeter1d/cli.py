@@ -4,7 +4,9 @@ writes), optional SVG overlay.
 
 Exit codes: 0 success, 1 threshold violation, 2 invalid configuration,
 3 I/O failure.  The environment variable SALPETER_THREADS caps the BLAS
-thread pool for fully reproducible parallelism.
+thread pool through threadpoolctl; without it installed a line on stderr
+says the cap was not applied.  No code path relies on a BLAS matmul, so the
+cap barely changes the work done.
 """
 
 import argparse
@@ -143,6 +145,11 @@ def _thread_cap():
     try:
         from threadpoolctl import threadpool_limits
     except ImportError:
+        print(
+            f"warning: SALPETER_THREADS={count} not applied: "
+            "threadpoolctl is not installed",
+            file=sys.stderr,
+        )
         return contextlib.nullcontext()
     return threadpool_limits(limits=count)
 
@@ -161,6 +168,10 @@ def _write_text_atomic(path: str, text: str) -> None:
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
+        # mkstemp creates the file 0600; give it the mode open() would
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

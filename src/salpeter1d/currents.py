@@ -14,11 +14,16 @@ with the pair velocity u = (p1+p2)/(E1+E2).  Implemented kernels:
     literal:n  F = gamma/(gamma-1)^n      diagnostic family, singular at
                                           gamma = 1 for n >= 1
 
-The separated (fast) forms on the right are exactly equal to the double-sum
-definition; the O(N^2) double-sum path is retained for every kernel as the
-oracle.  The scalar separation relies on the sign-carrying square-root
-factor: gamma(p1,p2) = d+(p1) d+(p2) + d-(p1) d-(p2) holds for all momentum
-sign combinations only when d- is odd in p.
+On the grid the integrals become sums over the momentum lattice,
+
+    rho_j = (dp^2 / 2 pi) sum_k sum_l F(p_k,p_l) phi_k* phi_l e^{i(p_l-p_k)x_j}
+
+and likewise for J_j with F u.  The separated (fast) forms on the right are
+exactly equal to this double-sum definition; the double-sum path, O(N^2)
+time and O(N) memory, is retained for every kernel as the oracle.  The
+scalar separation relies on the sign-carrying square-root factor:
+gamma(p1,p2) = d+(p1) d+(p2) + d-(p1) d-(p2) holds for all momentum sign
+combinations only when d- is odd in p.
 """
 
 from dataclasses import dataclass
@@ -29,6 +34,10 @@ from .grids import Grid1D, WaveFunction, spectral_derivative, to_momentum
 from .hamiltonian import apply_d_operator, d_vel, energy, evolve_free
 
 _KERNEL_NAMES = ("born", "scalar", "spinhalf", "literal")
+
+# Momentum rows per weight block in the double-sum oracle; bounds its memory
+# at a few _ROW_BLOCK x N arrays.
+_ROW_BLOCK = 64
 
 
 class KernelSingularityError(ValueError):
@@ -166,26 +175,31 @@ class FourCurrentSample:
     j1: float
 
 
-def _kernel_sum(psi: WaveFunction, weights: np.ndarray) -> np.ndarray:
-    """O(N^2) double-sum over the momentum lattice with a (N, N) weight matrix.
+def _kernel_sum(psi: WaveFunction, kind: KernelKind, with_velocity: bool) -> np.ndarray:
+    """Double sum over the momentum lattice, folded by momentum difference.
 
-    Exact discrete counterpart of the defining double integral; costs O(N^2)
-    memory, intended for oracle-sized grids (N <= 512 or so).
+    Exact discrete counterpart of the defining double integral with weight F
+    (or F * u when ``with_velocity``).  Since p_l - p_k = (l - k) dp and
+    dp dx = 2 pi / N, the phase e^{i(p_l - p_k) x_j} depends on j only through
+    (l - k) mod N once phi_k carries e^{i p_k x_min}; every pair term adds into
+    that difference bin and one inverse FFT gives the field.  The weights are
+    built _ROW_BLOCK rows at a time: O(N^2) time, O(N) memory.
     """
     g = psi.grid
-    phi = to_momentum(psi).values
-    pair_amp = weights * (np.conj(phi)[:, None] * phi[None, :])
-    modes = np.exp(1j * np.outer(g.p, g.x))
-    vals = np.einsum("kj,kj->j", np.conj(modes), pair_amp @ modes, optimize=True)
-    return vals.real * (g.dp**2 / (2.0 * np.pi))
-
-
-def _pair_weights(kind: KernelKind, grid: Grid1D, with_velocity: bool) -> np.ndarray:
-    p1 = grid.p[:, None]
-    p2 = grid.p[None, :]
-    if with_velocity:
-        return current_kernel_value(kind, p1, p2)
-    return kernel_value(kind, p1, p2)
+    n = g.n_points
+    p = g.p
+    phi = to_momentum(psi).values * np.exp(1j * p * g.x_min)
+    weight = current_kernel_value if with_velocity else kernel_value
+    cols = np.arange(n)
+    bins = np.zeros(n, dtype=np.complex128)
+    for k0 in range(0, n, _ROW_BLOCK):
+        rows = slice(k0, k0 + _ROW_BLOCK)
+        pair = weight(kind, p[rows, None], p[None, :])
+        pair = pair * np.conj(phi[rows, None]) * phi[None, :]
+        # the term of row k and column l = (k + r) mod N goes to bin r
+        at_bin = (cols[rows, None] + cols[None, :]) % n
+        bins += np.take_along_axis(pair, at_bin, axis=1).sum(axis=0)
+    return np.fft.ifft(bins).real * (n * g.dp**2 / (2.0 * np.pi))
 
 
 def density(psi: WaveFunction, kind: KernelKind, path: str = "auto") -> DensityField:
@@ -197,7 +211,7 @@ def density(psi: WaveFunction, kind: KernelKind, path: str = "auto") -> DensityF
     if path not in ("auto", "fast", "generic"):
         raise ValueError(f"unknown path {path!r}")
     if path == "generic" or (path == "auto" and kind.name == "literal"):
-        return DensityField(psi.grid, _kernel_sum(psi, _pair_weights(kind, psi.grid, False)))
+        return DensityField(psi.grid, _kernel_sum(psi, kind, False))
     if kind.name == "born":
         vals = np.abs(psi.values) ** 2
     elif kind.name == "scalar":
@@ -228,7 +242,7 @@ def current(psi: WaveFunction, kind: KernelKind, path: str = "auto") -> CurrentF
         return CurrentField(psi.grid, 2.0 * np.real(np.conj(psi.values) * dpsi))
     if path == "fast":
         raise ValueError(f"no fast current path for kernel {kind}")
-    return CurrentField(psi.grid, _kernel_sum(psi, _pair_weights(kind, psi.grid, True)))
+    return CurrentField(psi.grid, _kernel_sum(psi, kind, True))
 
 
 def fourcurrent_planewaves(s, kind: KernelKind, t: float, x: float) -> FourCurrentSample:

@@ -5,8 +5,9 @@ Criterion 7 appears twice: once with the nominal figure-regime targets
 provably cannot meet (the two-mode bound on the n=2, width-10 box is
 (E(2 pi / 10) - 1)/2 ~ 0.0906 under every normalization, and the small-box
 profile is scale-invariant with central relative std ~ 0.134), and once
-against the regression bounds pinned from the double-sum oracle.  The
-nominal test is expected to fail; it is kept unweakened on purpose.
+against the regression bounds pinned from the double-sum oracle, whose
+values a third test re-derives from the oracle itself.  The nominal test is
+expected to fail; it is kept unweakened on purpose.
 """
 
 import time
@@ -163,14 +164,14 @@ def test_c06_nonrelativistic_limit():
     assert broad > bounds.NONREL_LIMIT_MAX
 
 
-def _figure1_metrics():
+def _figure1_metrics(path="auto", widths=(10.0, 1.0, 0.1)):
     start = time.perf_counter()
     coincidence = {}
-    for width in (10.0, 1.0, 0.1):
+    for width in widths:
         g = box_grid(width, n_points=4096, pad=4.0)
         psi = s.box_state(width, 2, g)
-        born = s.density(psi, s.BORN).values
-        scalar = s.density(psi, s.SCALAR).values
+        born = s.density(psi, s.BORN, path=path).values
+        scalar = s.density(psi, s.SCALAR, path=path).values
         coincidence[width] = float(np.max(np.abs(scalar - born)) / np.max(born))
         if width == 0.1:
             inside = (g.x >= 0.1 * width) & (g.x <= 0.9 * width)
@@ -227,6 +228,26 @@ def test_c07_figure1_regimes_oracle_pinned():
     assert flo < flatness < fhi
     assert monotone
     assert elapsed < 30.0
+
+
+def test_c07_figure1_pinned_values_rederived_from_oracle():
+    widths = (10.0, 0.1)
+    oracle, oracle_flatness, elapsed = _figure1_metrics("generic", widths)
+    fast, fast_flatness, _ = _figure1_metrics("fast", widths)
+    lo, hi = bounds.FIG1_COINCIDENCE_REGRESSION
+    flo, fhi = bounds.FIG1_FLATNESS_REGRESSION
+    gap = max(abs(oracle[10.0] - fast[10.0]), abs(oracle_flatness - fast_flatness))
+    ok = (
+        lo < oracle[10.0] < hi
+        and flo < oracle_flatness < fhi
+        and gap < bounds.ORACLE_EQUIVALENCE_MAX
+    )
+    _report(7, "figure-1 pinned values re-derived from the double-sum oracle", ok,
+            f"coincidence(10)={oracle[10.0]:.6f}, flatness(0.1)={oracle_flatness:.6f}, "
+            f"gap to fast path {gap:.1e}, {elapsed:.1f}s")
+    assert lo < oracle[10.0] < hi
+    assert flo < oracle_flatness < fhi
+    assert gap < bounds.ORACLE_EQUIVALENCE_MAX
 
 
 def test_c08_figure2_distinct_curves():

@@ -1,4 +1,6 @@
 import os
+import stat
+import sys
 
 import numpy as np
 import pytest
@@ -223,3 +225,21 @@ class TestConfigAndIOErrors:
         monkeypatch.setenv("SALPETER_THREADS", "1")
         assert main(["figure1", "--grid-points", "512",
                      "--out", str(tmp_path / "x.csv")]) == 0
+
+    def test_thread_cap_warns_when_not_applied(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("SALPETER_THREADS", "1")
+        monkeypatch.setitem(sys.modules, "threadpoolctl", None)
+        assert main(["figure1", "--grid-points", "512",
+                     "--out", str(tmp_path / "x.csv")]) == 0
+        assert "SALPETER_THREADS=1 not applied" in capsys.readouterr().err
+
+    def test_output_files_follow_umask(self, tmp_path):
+        out = tmp_path / "fig1.csv"
+        previous = os.umask(0o022)
+        try:
+            assert main(["figure1", "--grid-points", "512",
+                         "--out", str(out), "--svg"]) == 0
+        finally:
+            os.umask(previous)
+        for path in (out, tmp_path / "fig1.svg"):
+            assert stat.S_IMODE(os.stat(path).st_mode) == 0o644

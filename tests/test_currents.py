@@ -1,3 +1,5 @@
+import tracemalloc
+
 import hypothesis as hyp
 import hypothesis.strategies as st
 import numpy as np
@@ -204,6 +206,65 @@ class TestCurrent:
         psi = s.gaussian_state(0.0, 0.0, 0.5, g)
         with pytest.raises(ValueError, match="no fast current path"):
             s.current(psi, s.BORN, path="fast")
+
+
+def _explicit_double_sum(psi, kind, with_velocity):
+    """rho_j (or J_j) straight from the lattice double sum in the module docstring."""
+    g = psi.grid
+    p, x = g.p, g.x
+    phi = s.to_momentum(psi).values
+    weight = s.kernel_value(kind, p[:, None], p[None, :])
+    if with_velocity:
+        weight = weight * s.u_pair(p[:, None], p[None, :])
+    pair = weight * np.conj(phi)[:, None] * phi[None, :]
+    phase = np.exp(1j * (p[None, :, None] - p[:, None, None]) * x[None, None, :])
+    return np.sum(pair[:, :, None] * phase, axis=(0, 1)) * (g.dp**2 / (2.0 * np.pi))
+
+
+class TestDoubleSumOracle:
+    # the explicit sum rounds its phase arguments (p_l - p_k) x_j, which grow
+    # as N |x| / width; these ranges keep that rounding far below 1e-12
+    @hyp.settings(max_examples=25, deadline=None)
+    @hyp.given(
+        n_points=st.sampled_from([8, 16, 32, 64]),
+        x_min=st.floats(-5.0, 5.0),
+        width=st.floats(2.0, 20.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_explicit_double_sum(self, n_points, x_min, width, seed):
+        g = s.make_grid(x_min, x_min + width, n_points)
+        psi = random_state(g, np.random.default_rng(seed))
+        for kind in (s.BORN, s.SCALAR, s.SPIN_HALF, s.literal_half_integer(0)):
+            for with_velocity, field in ((False, s.density), (True, s.current)):
+                explicit = _explicit_double_sum(psi, kind, with_velocity)
+                generic = field(psi, kind, path="generic").values
+                scale = np.max(np.abs(explicit))
+                assert np.max(np.abs(explicit.imag)) <= 1e-12 * scale
+                assert np.max(np.abs(generic - explicit.real)) <= 1e-12 * scale
+
+    def test_memory_stays_below_one_pair_matrix(self):
+        n = 1024
+        g = s.make_grid(-16, 16, n)
+        psi = s.gaussian_state(0.0, 0.5, 0.4, g)
+        one_matrix = n * n * np.dtype(np.complex128).itemsize
+        tracemalloc.start()
+        try:
+            s.current(psi, s.BORN, path="generic")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < one_matrix
+
+    @pytest.mark.parametrize("field", [s.density, s.current])
+    def test_literal_singularity_message_unchanged(self, field):
+        g = s.make_grid(-16, 16, 64)
+        psi = s.gaussian_state(0.0, 0.0, 0.5, g)
+        kind = s.literal_half_integer(1)
+        with pytest.raises(s.KernelSingularityError) as dense:
+            s.kernel_value(kind, g.p[:, None], g.p[None, :])
+        with pytest.raises(s.KernelSingularityError) as folded:
+            field(psi, kind, path="generic")
+        assert str(folded.value) == str(dense.value)
 
 
 class TestFourCurrent:
