@@ -27,6 +27,7 @@ from .currents import (
     current,
     density,
     fourcurrent_planewaves,
+    fourcurrents,
     gamma_pair,
     kernel_value,
     literal_half_integer,
@@ -74,8 +75,11 @@ from .lorentz import (
     boost_momentum,
     compose_boosts,
     constraint_report,
+    constraint_residuals,
     covariance_residual,
     default_events,
+    fourvector_residuals,
+    singular_tuples,
     transform_amplitudes,
 )
 from .states import (
@@ -115,6 +119,7 @@ __all__ = [
     "box_state",
     "compose_boosts",
     "constraint_report",
+    "constraint_residuals",
     "continuity_residual",
     "covariance_residual",
     "current",
@@ -130,6 +135,8 @@ __all__ = [
     "equivalence_residuals",
     "evolve_free",
     "fourcurrent_planewaves",
+    "fourcurrents",
+    "fourvector_residuals",
     "gamma_pair",
     "gaussian_state",
     "inner_product",
@@ -143,6 +150,7 @@ __all__ = [
     "sample_on_grid",
     "sample_superposition",
     "series_symbol",
+    "singular_tuples",
     "spectral_derivative",
     "spectral_multiplier",
     "superposed_box_state",

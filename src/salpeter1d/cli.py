@@ -24,7 +24,6 @@ from .currents import (
     SCALAR,
     SPIN_HALF,
     KernelKind,
-    KernelSingularityError,
     continuity_residual,
     density,
     parse_kernel,
@@ -43,7 +42,7 @@ from .hamiltonian import (
     apply_hamiltonian,
     apply_hamiltonian_series,
 )
-from .lorentz import Boost, constraint_report, covariance_residual
+from .lorentz import constraint_residuals, fourvector_residuals, singular_tuples
 from .plotting import line_plot_svg
 from .states import (
     PlaneWaveSuperposition,
@@ -201,10 +200,14 @@ def _normalize_column(values: np.ndarray, how: str, dx: float) -> np.ndarray:
     if how == "raw":
         return values
     if how == "unit-area":
-        return values / (np.sum(values) * dx)
-    if how == "peak":
-        return values / np.max(values)
-    raise ValueError(f"unknown normalization {how!r}")
+        scale, what = np.sum(values) * dx, "area"
+    elif how == "peak":
+        scale, what = np.max(values), "peak"
+    else:
+        raise ValueError(f"unknown normalization {how!r}")
+    if scale == 0.0 or not np.isfinite(scale):
+        raise ValueError(f"cannot normalize a column whose {what} is {scale}")
+    return values / scale
 
 
 def _emit_figure(cfg: RunConfig, columns: dict[str, np.ndarray], grid: Grid1D) -> None:
@@ -250,12 +253,18 @@ def _run_figure2(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _covariance_row(kind: KernelKind, p_i: float, p_j: float, v: float):
-    boost = Boost(v)
-    report = constraint_report(kind, p_i, p_j, boost)
-    s = PlaneWaveSuperposition([1.0, 1.0], [p_i, p_j])
-    fourvec = covariance_residual(s, kind, boost)
-    return [str(kind), p_i, p_j, v, report.residual, fourvec]
+def _covariance_rows(kind: KernelKind, p_i, p_j, v) -> list[list]:
+    """One CSV row per (p_i, p_j, v) tuple: the constraint and four-vector
+    residuals of unit-amplitude plane waves at p_i and p_j under boost v."""
+    _, _, constraint = constraint_residuals(kind, p_i, p_j, v)
+    waves = np.stack([p_i, p_j], axis=1)
+    fourvec = fourvector_residuals(kind, waves, np.ones(waves.shape, complex), v)
+    return [
+        [str(kind), *cells]
+        for cells in zip(
+            p_i.tolist(), p_j.tolist(), v.tolist(), constraint.tolist(), fourvec.tolist()
+        )
+    ]
 
 
 def _run_covariance(cfg: RunConfig) -> int:
@@ -263,26 +272,25 @@ def _run_covariance(cfg: RunConfig) -> int:
     velocities = (
         [cfg.velocity]
         if cfg.velocity is not None
-        else list(np.linspace(-0.9, 0.9, 5))
+        else np.linspace(-0.9, 0.9, 5)
     )
     momenta = np.linspace(-2.0, 2.0, 20)
+    p_i, p_j, v = (
+        grid.ravel()
+        for grid in np.meshgrid(momenta, momenta, velocities, indexing="ij")
+    )
+    distinct = np.abs(p_i - p_j) > 1e-9
+    p_i, p_j, v = p_i[distinct], p_j[distinct], v[distinct]
     rows = []
     skipped = 0
     for kind in kernels:
-        for p_i in momenta:
-            for p_j in momenta:
-                if abs(p_i - p_j) <= 1e-9:
-                    continue
-                for v in velocities:
-                    try:
-                        rows.append(_covariance_row(kind, float(p_i), float(p_j), float(v)))
-                    except KernelSingularityError:
-                        skipped += 1
+        regular = ~singular_tuples(kind, p_i, p_j, v)
+        skipped += int(np.count_nonzero(~regular))
+        rows += _covariance_rows(kind, p_i[regular], p_j[regular], v[regular])
     witness_checked = False
     witness_ok = True
     if any(k.name == "born" for k in kernels):
-        wp_i, wp_j, wv = bounds.BORN_WITNESS
-        row = _covariance_row(BORN, wp_i, wp_j, wv)
+        row = _covariance_rows(BORN, *(np.array([c]) for c in bounds.BORN_WITNESS))[0]
         rows.append(row)
         witness_checked = True
         witness_ok = (

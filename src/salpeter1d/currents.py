@@ -245,25 +245,44 @@ def current(psi: WaveFunction, kind: KernelKind, path: str = "auto") -> CurrentF
     return CurrentField(psi.grid, _kernel_sum(psi, kind, True))
 
 
+def fourcurrents(kind: KernelKind, p, a, t, x):
+    """Exact four-currents (j0, j1) of M plane-wave superpositions at once.
+
+    ``p`` and ``a`` hold the momenta and amplitudes of the superpositions,
+    shape (M, T); ``t`` and ``x`` hold the event coordinates, shape (M, E)
+    or broadcastable to it.  The weights F and F u are built once per
+    superposition, on (M, 1, T, T) pairs; the phases span (M, E, T, T), and
+    the sums run over the last two axes.  Returns j0 and j1, shape (M, E).
+    """
+    p = np.asarray(p, dtype=float)
+    a = np.asarray(a, dtype=np.complex128)
+    e = energy(p)
+    p1, p2 = p[:, None, :, None], p[:, None, None, :]
+    e1, e2 = e[:, None, :, None], e[:, None, None, :]
+    t = np.asarray(t, dtype=float)[..., None, None]
+    x = np.asarray(x, dtype=float)[..., None, None]
+    weights = kernel_value(kind, p1, p2)
+    vel = u_pair(p1, p2)
+    cross = (np.conj(a)[:, None, :, None] * a[:, None, None, :]) * np.exp(
+        1j * ((p2 - p1) * x - (e2 - e1) * t)
+    )
+    j0 = np.sum(weights * cross, axis=(-2, -1))
+    j1 = np.sum(weights * vel * cross, axis=(-2, -1))
+    return j0.real, j1.real
+
+
 def fourcurrent_planewaves(s, kind: KernelKind, t: float, x: float) -> FourCurrentSample:
     """Exact four-current (j0, j1) of a plane-wave superposition at (t, x).
 
     Closed form: j^mu = sum_ij F_ij (1, u_ij) A_i* A_j
     exp(i[(p_j - p_i) x - (E_j - E_i) t]).  The kernel symmetry makes the
-    sums real; the imaginary parts cancel pairwise and are dropped.
+    sums real; the imaginary parts cancel pairwise and are dropped.  One
+    superposition at one event of :func:`fourcurrents`.
     """
-    p = s.momenta
-    e = s.energies
-    a = s.amplitudes
-    p1, p2 = p[:, None], p[None, :]
-    weights = kernel_value(kind, p1, p2)
-    vel = u_pair(p1, p2)
-    cross = (np.conj(a)[:, None] * a[None, :]) * np.exp(
-        1j * ((p2 - p1) * x - (e[None, :] - e[:, None]) * t)
+    j0, j1 = fourcurrents(kind, s.momenta[None], s.amplitudes[None], [[t]], [[x]])
+    return FourCurrentSample(
+        t=float(t), x=float(x), j0=float(j0[0, 0]), j1=float(j1[0, 0])
     )
-    j0 = complex(np.sum(weights * cross))
-    j1 = complex(np.sum(weights * vel * cross))
-    return FourCurrentSample(t=float(t), x=float(x), j0=j0.real, j1=j1.real)
 
 
 def continuity_residual(psi: WaveFunction, kind: KernelKind, dt: float) -> float:

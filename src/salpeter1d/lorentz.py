@@ -7,13 +7,22 @@ residual for a momentum pair and the end-to-end four-vector residual over a
 set of events.  The amplitude transformation only fixes |A'|; phases are
 kept, since the plane-wave phase p x - E t is frame-invariant at
 corresponding events and any extra phase would inject spurious residuals.
+
+Both checks are array operations over a whole sweep:
+:func:`constraint_residuals` takes (p_i, p_j, v) tuples of any shape and
+:func:`fourvector_residuals` takes M superpositions with their boosts, so
+the CLI covariance sweep is one array pass per kernel.
+:func:`singular_tuples` marks beforehand the tuples where a literal kernel
+diverges.  The per-item functions :func:`constraint_report`,
+:func:`transform_amplitudes` and :func:`covariance_residual` are batches of
+one and give bitwise the same numbers.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .currents import KernelKind, fourcurrent_planewaves, gamma_pair, kernel_value
+from .currents import KernelKind, fourcurrents, gamma_pair, kernel_value
 from .hamiltonian import energy
 from .states import MOMENTUM_DISTINCT_TOL, PlaneWaveSuperposition
 
@@ -30,8 +39,7 @@ class Boost:
 
     @property
     def gamma(self) -> float:
-        v = self.velocity
-        return float(1.0 / np.sqrt((1.0 - v) * (1.0 + v)))
+        return float(_gamma(self.velocity))
 
 
 def compose_boosts(b1: Boost, b2: Boost) -> Boost:
@@ -40,16 +48,39 @@ def compose_boosts(b1: Boost, b2: Boost) -> Boost:
     return Boost((v1 + v2) / (1.0 + v1 * v2))
 
 
+def _gamma(v):
+    return 1.0 / np.sqrt((1.0 - v) * (1.0 + v))
+
+
+def _boost(p, v):
+    # p' = gamma (p - v E(p)) in the precision of p and v
+    return _gamma(v) * (p - v * energy(p))
+
+
 def boost_momentum(p, b: Boost):
     """p' = gamma (p - v E(p)); preserves the mass shell E'^2 - p'^2 = 1."""
-    p = np.asarray(p)
-    return b.gamma * (p - b.velocity * energy(p))
+    return _boost(np.asarray(p), b.velocity)
 
 
 def boost_event(t: float, x: float, b: Boost) -> tuple[float, float]:
     """(t', x') = (gamma (t - v x), gamma (x - v t))."""
     g, v = b.gamma, b.velocity
     return (g * (t - v * x), g * (x - v * t))
+
+
+def _check_velocities(v) -> None:
+    bad = ~(np.abs(v) < 1.0)
+    if np.any(bad):
+        raise ValueError(f"|boost velocity| must be < 1, got {float(v[bad][0])}")
+
+
+def _transform(kind: KernelKind, p, a, v):
+    """Boosted momenta and amplitudes of M superpositions: p, a (M, T), v (M,)."""
+    p_b = _boost(p, v[:, None])
+    scale_sq = (kernel_value(kind, p, p) * gamma_pair(p_b, p_b)) / (
+        kernel_value(kind, p_b, p_b) * gamma_pair(p, p)
+    )
+    return p_b, a * np.sqrt(scale_sq)
 
 
 def transform_amplitudes(
@@ -62,12 +93,10 @@ def transform_amplitudes(
     with phases preserved.  For the scalar kernel the factor is identically
     one (F_ii = gamma_ii cancels) and amplitudes are bitwise unchanged.
     """
-    p = s.momenta
-    p_b = boost_momentum(p, b)
-    scale_sq = (kernel_value(kind, p, p) * gamma_pair(p_b, p_b)) / (
-        kernel_value(kind, p_b, p_b) * gamma_pair(p, p)
+    p_b, a_b = _transform(
+        kind, s.momenta[None], s.amplitudes[None], np.array([b.velocity])
     )
-    return PlaneWaveSuperposition(s.amplitudes * np.sqrt(scale_sq), p_b)
+    return PlaneWaveSuperposition(a_b[0], p_b[0])
 
 
 @dataclass(frozen=True)
@@ -83,6 +112,36 @@ class ConstraintReport:
     residual: float
 
 
+def constraint_residuals(kind: KernelKind, p_i, p_j, v):
+    """The covariance constraint over many (p_i, p_j, v) tuples at once.
+
+    The arguments broadcast against each other.  Returns the two sides and
+    their absolute difference, each rounded to float64 from the extended
+    precision evaluation described at :func:`constraint_report`.
+    """
+    p_i, p_j, v = np.broadcast_arrays(p_i, p_j, v)
+    close = np.abs(p_i - p_j) <= MOMENTUM_DISTINCT_TOL
+    if np.any(close):
+        a, c = float(p_i[close][0]), float(p_j[close][0])
+        raise ValueError(
+            f"coincident momenta: p_i={a!r}, p_j={c!r} "
+            f"(need |p_i - p_j| > {MOMENTUM_DISTINCT_TOL:.0e})"
+        )
+    _check_velocities(v)
+    ld = np.longdouble
+    pi, pj, v = p_i.astype(ld), p_j.astype(ld), v.astype(ld)
+    pi_b, pj_b = _boost(pi, v), _boost(pj, v)
+
+    def ratio(func):
+        return (func(pi_b, pj_b) ** 2 / (func(pi_b, pi_b) * func(pj_b, pj_b))) * (
+            func(pi, pi) * func(pj, pj) / func(pi, pj) ** 2
+        )
+
+    lhs = ratio(lambda a, c: kernel_value(kind, a, c))
+    rhs = ratio(gamma_pair)
+    return lhs.astype(float), rhs.astype(float), np.abs(lhs - rhs).astype(float)
+
+
 def constraint_report(
     kind: KernelKind, p_i: float, p_j: float, b: Boost
 ) -> ConstraintReport:
@@ -94,24 +153,7 @@ def constraint_report(
     in extended precision.  A kernel whose residual vanishes for all pairs
     and boosts yields a four-vector current; F = 1 (Born) does not.
     """
-    if abs(p_i - p_j) <= MOMENTUM_DISTINCT_TOL:
-        raise ValueError(
-            f"coincident momenta: p_i={p_i!r}, p_j={p_j!r} "
-            f"(need |p_i - p_j| > {MOMENTUM_DISTINCT_TOL:.0e})"
-        )
-    ld = np.longdouble
-    pi, pj, v = ld(p_i), ld(p_j), ld(b.velocity)
-    gv = 1.0 / np.sqrt((1.0 - v) * (1.0 + v))
-    pi_b = gv * (pi - v * energy(pi))
-    pj_b = gv * (pj - v * energy(pj))
-
-    def ratio(func):
-        return (func(pi_b, pj_b) ** 2 / (func(pi_b, pi_b) * func(pj_b, pj_b))) * (
-            func(pi, pi) * func(pj, pj) / func(pi, pj) ** 2
-        )
-
-    lhs = ratio(lambda a, c: kernel_value(kind, a, c))
-    rhs = ratio(gamma_pair)
+    lhs, rhs, residual = constraint_residuals(kind, p_i, p_j, b.velocity)
     return ConstraintReport(
         kind=kind,
         p_i=float(p_i),
@@ -119,14 +161,75 @@ def constraint_report(
         boost=b,
         lhs=float(lhs),
         rhs=float(rhs),
-        residual=float(abs(lhs - rhs)),
+        residual=float(residual),
     )
+
+
+def singular_tuples(kind: KernelKind, p_i, p_j, v) -> np.ndarray:
+    """Where a covariance row of two plane waves p_i, p_j and boost v diverges.
+
+    A literal kernel of order >= 1 diverges where gamma_pair is exactly one.
+    A row evaluates the pairs (p_i, p_j), (p_i, p_i) and (p_j, p_j), before
+    and after the boost, in float64 (the four-current) and in extended
+    precision (the constraint); the mask is true where any of them has
+    gamma_pair == 1, which is exactly where :func:`constraint_report` or
+    :func:`covariance_residual` raises :class:`KernelSingularityError`.
+    """
+    p_i, p_j, v = np.broadcast_arrays(p_i, p_j, v)
+    mask = np.zeros(p_i.shape, dtype=bool)
+    if kind.name != "literal" or kind.order < 1:
+        return mask
+    for dt in (np.float64, np.longdouble):
+        pi, pj, vv = p_i.astype(dt), p_j.astype(dt), v.astype(dt)
+        pi_b, pj_b = _boost(pi, vv), _boost(pj, vv)
+        for a, c in ((pi, pj), (pi, pi), (pj, pj), (pi_b, pj_b), (pi_b, pi_b), (pj_b, pj_b)):
+            mask |= gamma_pair(a, c) == 1.0
+    return mask
 
 
 def default_events() -> list[tuple[float, float]]:
     """3x3 event lattice spanning one Compton wavelength and time at origin."""
     pts = (-0.5, 0.0, 0.5)
     return [(t, x) for t in pts for x in pts]
+
+
+def fourvector_residuals(
+    kind: KernelKind,
+    p,
+    a,
+    v,
+    events: list[tuple[float, float]] | None = None,
+) -> np.ndarray:
+    """:func:`covariance_residual` of M superpositions at once.
+
+    ``p`` and ``a`` hold momenta and amplitudes, shape (M, T), and ``v`` the
+    M boost velocities.  Every superposition is checked at the same events;
+    returns the M residuals.
+    """
+    if events is None:
+        events = default_events()
+    events = list(events)
+    if not events:
+        raise ValueError("need at least one event")
+    events = np.array(events, dtype=float)
+    if events.ndim != 2 or events.shape[1] != 2:
+        raise ValueError("events must be (t, x) pairs")
+    t, x = events.T
+    p = np.asarray(p, dtype=float)
+    a = np.asarray(a, dtype=np.complex128)
+    v = np.asarray(v, dtype=float)
+    _check_velocities(v)
+    p_b, a_b = _transform(kind, p, a, v)
+    here0, here1 = fourcurrents(kind, p, a, t[None], x[None])
+    g, v = _gamma(v)[:, None], v[:, None]
+    there0, there1 = fourcurrents(
+        kind, p_b, a_b, g * (t - v * x), g * (x - v * t)
+    )
+    gap = np.hypot(
+        there0 - g * (here0 - v * here1),
+        there1 - g * (here1 - v * here0),
+    )
+    return np.max(gap, axis=1)
 
 
 def covariance_residual(
@@ -137,25 +240,13 @@ def covariance_residual(
 ) -> float:
     """Max over events of |J'(boosted event) - Lambda J(event)| (2-norm).
 
-    The primed current uses :func:`transform_amplitudes`; everything is
-    evaluated with the exact plane-wave closed form, so a nonzero residual
-    is a genuine covariance failure, not discretization error.
+    The primed current uses the amplitudes of :func:`transform_amplitudes`;
+    everything is evaluated with the exact plane-wave closed form, so a
+    nonzero residual is a genuine covariance failure, not discretization
+    error.  One superposition of :func:`fourvector_residuals`.
     """
-    if events is None:
-        events = default_events()
-    events = list(events)
-    if not events:
-        raise ValueError("need at least one event")
-    s_b = transform_amplitudes(s, b, kind)
-    g, v = b.gamma, b.velocity
-    worst = 0.0
-    for t, x in events:
-        here = fourcurrent_planewaves(s, kind, t, x)
-        t_b, x_b = boost_event(t, x, b)
-        there = fourcurrent_planewaves(s_b, kind, t_b, x_b)
-        gap = np.hypot(
-            there.j0 - g * (here.j0 - v * here.j1),
-            there.j1 - g * (here.j1 - v * here.j0),
-        )
-        worst = max(worst, float(gap))
-    return worst
+    return float(
+        fourvector_residuals(
+            kind, s.momenta[None], s.amplitudes[None], [b.velocity], events
+        )[0]
+    )

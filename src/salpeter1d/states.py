@@ -127,10 +127,12 @@ class PlaneWaveSuperposition:
             raise ValueError("amplitudes and momenta must be 1-D of equal length")
         if amps.size == 0:
             raise ValueError("superposition needs at least one term")
-        diff = np.abs(moms[:, None] - moms[None, :])
-        np.fill_diagonal(diff, np.inf)
-        if np.min(diff) <= MOMENTUM_DISTINCT_TOL:
-            i, j = np.unravel_index(np.argmin(diff), diff.shape)
+        # the closest pair is adjacent once sorted: O(N log N) time, O(N) memory
+        order = np.argsort(moms, kind="stable")
+        gaps = np.diff(moms[order])
+        if gaps.size and np.min(gaps) <= MOMENTUM_DISTINCT_TOL:
+            k = int(np.argmin(gaps))
+            i, j = sorted((int(order[k]), int(order[k + 1])))
             raise ValueError(
                 f"momenta must be pairwise distinct: p[{i}]={moms[i]!r} and "
                 f"p[{j}]={moms[j]!r} are closer than {MOMENTUM_DISTINCT_TOL:.0e}"

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import salpeter1d as s
+from salpeter1d import cli
 from salpeter1d.cli import main
 
 
@@ -150,6 +151,35 @@ class TestCovarianceCommand:
         captured = capsys.readouterr()
         assert "skipped" in captured.err
 
+    def test_default_sweep_rows_and_witness_last(self, tmp_path, capsys):
+        out = tmp_path / "cov.csv"
+        assert main(["covariance", "--out", str(out)]) == 0
+        header, rows = _read_csv(out)
+        assert header == [
+            "kernel", "p_i", "p_j", "v", "eq_constraint_residual", "fourvector_residual",
+        ]
+        assert len(rows) == 5701
+        kernels = [r[0] for r in rows[:-1]]
+        assert kernels == ["born"] * 1900 + ["scalar"] * 1900 + ["spinhalf"] * 1900
+        assert rows[-1][:4] == ["born", "0.5", "-0.5", "0.5"]
+        # tuples run p_i, then p_j, then v, with coincident momenta dropped
+        assert rows[0][1:4] == ["-2", "-1.7894736842105263", "-0.90000000000000002"]
+        assert rows[4][3] == "0.90000000000000002"
+        assert rows[5][2] == "-1.5789473684210527"
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.splitlines()[-1] == f"covariance: wrote {out} (5701 rows)"
+
+    def test_literal_sweep_skips_exactly_the_singular_tuples(self, tmp_path, capsys):
+        out = tmp_path / "cov.csv"
+        assert main(["covariance", "--kernel", "literal:1", "--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "covariance: skipped 80 singular kernel pairs\n"
+        _, rows = _read_csv(out)
+        assert len(rows) == 1820
+        # every opposite-momentum pair (gamma = 1 before the boost) is skipped
+        assert not [r for r in rows if float(r[1]) == -float(r[2])]
+
 
 class TestReportCommands:
     def test_continuity(self, tmp_path):
@@ -196,6 +226,35 @@ class TestConfigAndIOErrors:
         code = main(argv + ["--out", str(tmp_path / "x.csv")])
         assert code == 2
         assert "invalid config" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("how", ["unit-area", "peak"])
+    @pytest.mark.parametrize("fill", [0.0, np.nan, np.inf])
+    def test_normalize_rejects_zero_or_nonfinite_scale(self, how, fill):
+        values = np.zeros(8)
+        values[3] = fill
+        with pytest.raises(ValueError, match="cannot normalize"):
+            cli._normalize_column(values, how, 0.5)
+
+    def test_normalize_keeps_finite_columns(self):
+        values = np.array([0.0, 1.0, 3.0])
+        np.testing.assert_array_equal(cli._normalize_column(values, "peak", 0.5), values / 3.0)
+        np.testing.assert_array_equal(
+            cli._normalize_column(values, "unit-area", 0.5), values / 2.0
+        )
+
+    def test_zero_column_exits_2_without_output(self, tmp_path, capsys, monkeypatch):
+        def vanishing(psi, kind):
+            return s.DensityField(psi.grid, np.zeros(psi.grid.n_points))
+
+        monkeypatch.setattr(cli, "density", vanishing)
+        out = tmp_path / "fig.csv"
+        code = main([
+            "figure1", "--grid-points", "512", "--normalization", "peak",
+            "--out", str(out),
+        ])
+        assert code == 2
+        assert "cannot normalize a column whose peak is 0.0" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_normalization_rejected_by_parser(self, tmp_path):
         with pytest.raises(SystemExit) as info:

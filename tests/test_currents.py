@@ -4,7 +4,7 @@ import hypothesis as hyp
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from conftest import box_grid, lattice_wave, random_state
+from conftest import box_grid, lattice_wave, random_state, random_superposition
 
 import salpeter1d as s
 
@@ -338,6 +338,44 @@ class TestFourCurrent:
                 [s.fourcurrent_planewaves(sp, kind, 0.0, x).j0 for x in g.x]
             )
             assert np.max(np.abs(dens - j0)) < 1e-10
+
+
+class TestFourCurrentDefinitions:
+    """The plane-wave four-current against sums written from the definitions."""
+
+    events = st.floats(-5.0, 5.0, allow_nan=False, allow_infinity=False)
+
+    @hyp.settings(max_examples=50, deadline=None)
+    @hyp.given(
+        n_terms=st.integers(2, 8), seed=st.integers(0, 2**32 - 1), t=events, x=events
+    )
+    def test_born_density_is_squared_sum(self, n_terms, seed, t, x):
+        sp = random_superposition(np.random.default_rng(seed), n_terms)
+        j0 = s.fourcurrent_planewaves(sp, s.BORN, t, x).j0
+        expected = abs(s.sample_superposition(sp, t, x)) ** 2
+        scale = np.sum(np.abs(sp.amplitudes)) ** 2
+        assert abs(j0 - expected) <= 1e-12 * scale
+
+    @hyp.settings(max_examples=50, deadline=None)
+    @hyp.given(
+        n_terms=st.integers(2, 8), seed=st.integers(0, 2**32 - 1), t=events, x=events
+    )
+    def test_scalar_current_from_square_root_factors(self, n_terms, seed, t, x):
+        # S+- = sum_i A_i d+-(p_i) e^{i(p_i x - E_i t)};
+        # j0 = |S+|^2 + |S-|^2 and j1 = 2 Re(conj(S+) S-)
+        sp = random_superposition(np.random.default_rng(seed), n_terms)
+        p = sp.momenta
+        waves = np.array([
+            a * np.exp(1j * (pk * x - s.energy(pk) * t))
+            for a, pk in zip(sp.amplitudes, p)
+        ])
+        d_plus, d_minus = s.d_plus(p), s.d_minus_signed(p)
+        s_plus = np.sum(d_plus * waves)
+        s_minus = np.sum(d_minus * waves)
+        sample = s.fourcurrent_planewaves(sp, s.SCALAR, t, x)
+        scale = np.sum(np.abs(waves) * (d_plus + np.abs(d_minus))) ** 2
+        assert abs(sample.j0 - (abs(s_plus) ** 2 + abs(s_minus) ** 2)) <= 1e-12 * scale
+        assert abs(sample.j1 - 2.0 * np.real(np.conj(s_plus) * s_minus)) <= 1e-12 * scale
 
 
 class TestContinuity:

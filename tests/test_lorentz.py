@@ -192,3 +192,95 @@ class TestCovarianceResidual:
         xs = sorted({x for _, x in events})
         assert ts == [-0.5, 0.0, 0.5]
         assert xs == [-0.5, 0.0, 0.5]
+
+
+BATCH_KINDS = [
+    s.BORN,
+    s.SCALAR,
+    s.SPIN_HALF,
+    s.literal_half_integer(0),
+    s.literal_half_integer(1),
+]
+
+
+def _sweep_tuples():
+    """64 (p_i, p_j, v) tuples: 36 random ones, plus 28 where a pair of the
+    row has gamma = 1 before or after the boost."""
+    rng = np.random.default_rng(23)
+    p_i = list(rng.uniform(-2.0, 2.0, 36))
+    p_j = list(rng.uniform(-2.0, 2.0, 36))
+    v = list(rng.uniform(-0.9, 0.9, 36))
+    for a, c in rng.uniform(-2.0, 2.0, (7, 2)):
+        p_i += [a, a, a, 0.0]
+        p_j += [-a, c, c, c]
+        # opposite pair; boost to the pair's rest frame; boost p_i to rest
+        v += [rng.uniform(-0.9, 0.9), float(s.u_pair(a, c)), a / float(s.energy(a)),
+              rng.uniform(-0.9, 0.9)]
+    return np.array(p_i), np.array(p_j), np.array(v)
+
+
+def _per_row(kind, p_i, p_j, v):
+    """Constraint and four-vector residuals through the public scalar
+    functions, one tuple at a time; None where the kernel diverges."""
+    out = []
+    for a, c, w in zip(p_i, p_j, v):
+        try:
+            report = s.constraint_report(kind, float(a), float(c), s.Boost(float(w)))
+            waves = s.PlaneWaveSuperposition([1.0, 1.0], [a, c])
+            fourvec = s.covariance_residual(waves, kind, s.Boost(float(w)))
+        except s.KernelSingularityError:
+            out.append(None)
+            continue
+        out.append((report.lhs, report.rhs, report.residual, fourvec))
+    return out
+
+
+class TestBatchedSweep:
+    @pytest.mark.parametrize("kind", BATCH_KINDS, ids=str)
+    def test_batched_cores_equal_per_row(self, kind):
+        p_i, p_j, v = _sweep_tuples()
+        singular = s.singular_tuples(kind, p_i, p_j, v)
+        expected = _per_row(kind, p_i, p_j, v)
+        np.testing.assert_array_equal(singular, [row is None for row in expected])
+        if kind.order:
+            assert singular.sum() >= 7
+        ok = ~singular
+        lhs, rhs, residual = s.constraint_residuals(kind, p_i[ok], p_j[ok], v[ok])
+        waves = np.stack([p_i[ok], p_j[ok]], axis=1)
+        fourvec = s.fourvector_residuals(
+            kind, waves, np.ones(waves.shape, complex), v[ok]
+        )
+        got = list(zip(lhs, rhs, residual, fourvec))
+        assert got == [row for row in expected if row is not None]
+
+    @pytest.mark.parametrize("kind", BATCH_KINDS[:4], ids=str)
+    def test_batched_superpositions_equal_per_superposition(self, kind):
+        rng = np.random.default_rng(31)
+        sps = [random_superposition(rng, 4) for _ in range(12)]
+        v = rng.uniform(-0.9, 0.9, len(sps))
+        events = [(0.3, -1.1), (-0.7, 0.4)]
+        got = s.fourvector_residuals(
+            kind,
+            [sp.momenta for sp in sps],
+            [sp.amplitudes for sp in sps],
+            v,
+            events,
+        )
+        expected = [
+            s.covariance_residual(sp, kind, s.Boost(w), events) for sp, w in zip(sps, v)
+        ]
+        np.testing.assert_array_equal(got, expected)
+
+    def test_batched_cores_validate_inputs(self):
+        with pytest.raises(ValueError, match="coincident"):
+            s.constraint_residuals(s.SCALAR, [0.1, 0.5], [0.2, 0.5], 0.3)
+        with pytest.raises(ValueError, match="velocity"):
+            s.constraint_residuals(s.SCALAR, 0.1, 0.2, [0.3, 1.0])
+        with pytest.raises(ValueError, match="velocity"):
+            s.fourvector_residuals(s.SCALAR, [[0.1, 0.2]], [[1.0, 1.0]], [-1.0])
+        with pytest.raises(ValueError, match="event"):
+            s.fourvector_residuals(s.SCALAR, [[0.1, 0.2]], [[1.0, 1.0]], [0.3], [])
+        with pytest.raises(ValueError, match="pairs"):
+            s.fourvector_residuals(
+                s.SCALAR, [[0.1, 0.2]], [[1.0, 1.0]], [0.3], [(0.1, 0.2, 0.3), (1, 2, 3)]
+            )

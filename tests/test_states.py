@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from conftest import box_grid
@@ -143,6 +145,29 @@ class TestPlaneWaveSuperposition:
     def test_rejects_coincident_momenta(self):
         with pytest.raises(ValueError, match="pairwise distinct"):
             s.PlaneWaveSuperposition([1.0, 1.0], [0.5, 0.5 + 1e-13])
+
+    def test_near_duplicate_reports_original_indices(self):
+        moms = np.array([0.9, 0.5 + 1e-13, -0.3, 1.7, 0.5, 0.2])
+        expected = (
+            f"momenta must be pairwise distinct: p[1]={moms[1]!r} and "
+            f"p[4]={moms[4]!r} are closer than 1e-12"
+        )
+        with pytest.raises(ValueError) as info:
+            s.PlaneWaveSuperposition(np.ones(moms.size), moms)
+        assert str(info.value) == expected
+
+    def test_large_superposition_constructs_in_linear_memory(self):
+        n = 2**16
+        moms = np.random.default_rng(5).permutation(np.linspace(-50.0, 50.0, n))
+        tracemalloc.start()
+        try:
+            sp = s.PlaneWaveSuperposition(np.ones(n), moms)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(sp) == n
+        # one N x N float64 matrix would be 32 GiB; the inputs are 1.5 MiB
+        assert peak < 16 * 2**20
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError, match="at least one term"):
