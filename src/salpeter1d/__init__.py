@@ -27,7 +27,6 @@ from .currents import (
     current,
     density,
     fourcurrent_planewaves,
-    fourcurrents,
     gamma_pair,
     kernel_value,
     literal_half_integer,
@@ -75,11 +74,8 @@ from .lorentz import (
     boost_momentum,
     compose_boosts,
     constraint_report,
-    constraint_residuals,
     covariance_residual,
     default_events,
-    fourvector_residuals,
-    singular_tuples,
     transform_amplitudes,
 )
 from .states import (
@@ -119,7 +115,6 @@ __all__ = [
     "box_state",
     "compose_boosts",
     "constraint_report",
-    "constraint_residuals",
     "continuity_residual",
     "covariance_residual",
     "current",
@@ -135,8 +130,6 @@ __all__ = [
     "equivalence_residuals",
     "evolve_free",
     "fourcurrent_planewaves",
-    "fourcurrents",
-    "fourvector_residuals",
     "gamma_pair",
     "gaussian_state",
     "inner_product",
@@ -150,7 +143,6 @@ __all__ = [
     "sample_on_grid",
     "sample_superposition",
     "series_symbol",
-    "singular_tuples",
     "spectral_derivative",
     "spectral_multiplier",
     "superposed_box_state",

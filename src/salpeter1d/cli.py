@@ -42,7 +42,14 @@ from .hamiltonian import (
     apply_hamiltonian,
     apply_hamiltonian_series,
 )
-from .lorentz import constraint_residuals, fourvector_residuals, singular_tuples
+from .lorentz import (
+    Boost,
+    constraint_report,
+    constraint_residuals,
+    covariance_residual,
+    fourvector_residuals,
+    singular_tuples,
+)
 from .plotting import line_plot_svg
 from .states import (
     PlaneWaveSuperposition,
@@ -267,6 +274,15 @@ def _covariance_rows(kind: KernelKind, p_i, p_j, v) -> list[list]:
     ]
 
 
+def _witness_row(p_i: float, p_j: float, v: float) -> list:
+    """The Born row of one (p_i, p_j, v) tuple, through the per-item checks."""
+    boost = Boost(v)
+    report = constraint_report(BORN, p_i, p_j, boost)
+    waves = PlaneWaveSuperposition([1.0, 1.0], [p_i, p_j])
+    fourvec = covariance_residual(waves, BORN, boost)
+    return [str(BORN), p_i, p_j, v, report.residual, fourvec]
+
+
 def _run_covariance(cfg: RunConfig) -> int:
     kernels = [cfg.kernel] if cfg.kernel is not None else [BORN, SCALAR, SPIN_HALF]
     velocities = (
@@ -290,7 +306,7 @@ def _run_covariance(cfg: RunConfig) -> int:
     witness_checked = False
     witness_ok = True
     if any(k.name == "born" for k in kernels):
-        row = _covariance_rows(BORN, *(np.array([c]) for c in bounds.BORN_WITNESS))[0]
+        row = _witness_row(*bounds.BORN_WITNESS)
         rows.append(row)
         witness_checked = True
         witness_ok = (

@@ -123,19 +123,31 @@ def kernel_value(kind: KernelKind, p1, p2):
         return gamma_pair(p1, p2)
     if kind.name == "spinhalf":
         return 1.0 + d_vel(p1) * d_vel(p2)
+    singular = kernel_singular(kind, p1, p2)
+    if np.any(singular):
+        b1, b2 = np.broadcast_arrays(p1, p2)
+        i = np.argwhere(np.atleast_1d(singular))[0]
+        pa = np.atleast_1d(b1)[tuple(i)]
+        pb = np.atleast_1d(b2)[tuple(i)]
+        raise KernelSingularityError(
+            f"literal kernel of order {kind.order} diverges at "
+            f"(p1, p2) = ({pa!r}, {pb!r}) where gamma = 1"
+        )
     g = gamma_pair(p1, p2)
-    if kind.order >= 1:
-        singular = g == 1.0
-        if np.any(singular):
-            b1, b2 = np.broadcast_arrays(p1, p2)
-            i = np.argwhere(np.atleast_1d(singular))[0]
-            pa = np.atleast_1d(b1)[tuple(i)]
-            pb = np.atleast_1d(b2)[tuple(i)]
-            raise KernelSingularityError(
-                f"literal kernel of order {kind.order} diverges at "
-                f"(p1, p2) = ({pa!r}, {pb!r}) where gamma = 1"
-            )
     return g / (g - 1.0) ** kind.order
+
+
+def kernel_singular(kind: KernelKind, p1, p2) -> np.ndarray:
+    """Where F(p1, p2) diverges; broadcasts over array arguments.
+
+    Only the literal family of order >= 1 diverges: its denominator
+    (gamma - 1)^n vanishes where gamma_pair is exactly one, i.e. on
+    opposite-momentum pairs.  :func:`kernel_value` raises there.
+    """
+    p1, p2 = _float_pair(p1, p2)
+    if kind.name != "literal" or kind.order < 1:
+        return np.zeros(np.broadcast(p1, p2).shape, dtype=bool)
+    return gamma_pair(p1, p2) == 1.0
 
 
 def current_kernel_value(kind: KernelKind, p1, p2):

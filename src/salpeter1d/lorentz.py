@@ -14,15 +14,22 @@ Both checks are array operations over a whole sweep:
 the CLI covariance sweep is one array pass per kernel.
 :func:`singular_tuples` marks beforehand the tuples where a literal kernel
 diverges.  The per-item functions :func:`constraint_report`,
-:func:`transform_amplitudes` and :func:`covariance_residual` are batches of
-one and give bitwise the same numbers.
+:func:`transform_amplitudes` and :func:`covariance_residual` run on the
+same cores and give bitwise the same numbers.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .currents import KernelKind, fourcurrents, gamma_pair, kernel_value
+from .currents import (
+    KernelKind,
+    fourcurrent_planewaves,
+    fourcurrents,
+    gamma_pair,
+    kernel_singular,
+    kernel_value,
+)
 from .hamiltonian import energy
 from .states import MOMENTUM_DISTINCT_TOL, PlaneWaveSuperposition
 
@@ -168,22 +175,20 @@ def constraint_report(
 def singular_tuples(kind: KernelKind, p_i, p_j, v) -> np.ndarray:
     """Where a covariance row of two plane waves p_i, p_j and boost v diverges.
 
-    A literal kernel of order >= 1 diverges where gamma_pair is exactly one.
-    A row evaluates the pairs (p_i, p_j), (p_i, p_i) and (p_j, p_j), before
-    and after the boost, in float64 (the four-current) and in extended
-    precision (the constraint); the mask is true where any of them has
-    gamma_pair == 1, which is exactly where :func:`constraint_report` or
-    :func:`covariance_residual` raises :class:`KernelSingularityError`.
+    A row evaluates the kernel at the pairs (p_i, p_j), (p_i, p_i) and
+    (p_j, p_j), before and after the boost, in float64 (the four-current)
+    and in extended precision (the constraint).  The mask is true where
+    :func:`~salpeter1d.currents.kernel_singular` holds at any of them, which
+    is exactly where :func:`constraint_report` or :func:`covariance_residual`
+    raises :class:`KernelSingularityError`.
     """
     p_i, p_j, v = np.broadcast_arrays(p_i, p_j, v)
     mask = np.zeros(p_i.shape, dtype=bool)
-    if kind.name != "literal" or kind.order < 1:
-        return mask
     for dt in (np.float64, np.longdouble):
         pi, pj, vv = p_i.astype(dt), p_j.astype(dt), v.astype(dt)
         pi_b, pj_b = _boost(pi, vv), _boost(pj, vv)
         for a, c in ((pi, pj), (pi, pi), (pj, pj), (pi_b, pj_b), (pi_b, pi_b), (pj_b, pj_b)):
-            mask |= gamma_pair(a, c) == 1.0
+            mask |= kernel_singular(kind, a, c)
     return mask
 
 
@@ -191,6 +196,25 @@ def default_events() -> list[tuple[float, float]]:
     """3x3 event lattice spanning one Compton wavelength and time at origin."""
     pts = (-0.5, 0.0, 0.5)
     return [(t, x) for t in pts for x in pts]
+
+
+def _event_coordinates(events):
+    """The t and x coordinates of an event list (default: :func:`default_events`)."""
+    if events is None:
+        events = default_events()
+    events = list(events)
+    if not events:
+        raise ValueError("need at least one event")
+    events = np.array(events, dtype=float)
+    if events.ndim != 2 or events.shape[1] != 2:
+        raise ValueError("events must be (t, x) pairs")
+    return events.T
+
+
+def _fourvector_gap(here, there, g, v):
+    """|J' - Lambda J| (2-norm) of currents J = here, J' = there, boost (g, v)."""
+    (h0, h1), (b0, b1) = here, there
+    return np.hypot(b0 - g * (h0 - v * h1), b1 - g * (h1 - v * h0))
 
 
 def fourvector_residuals(
@@ -206,30 +230,16 @@ def fourvector_residuals(
     M boost velocities.  Every superposition is checked at the same events;
     returns the M residuals.
     """
-    if events is None:
-        events = default_events()
-    events = list(events)
-    if not events:
-        raise ValueError("need at least one event")
-    events = np.array(events, dtype=float)
-    if events.ndim != 2 or events.shape[1] != 2:
-        raise ValueError("events must be (t, x) pairs")
-    t, x = events.T
+    t, x = _event_coordinates(events)
     p = np.asarray(p, dtype=float)
     a = np.asarray(a, dtype=np.complex128)
     v = np.asarray(v, dtype=float)
     _check_velocities(v)
     p_b, a_b = _transform(kind, p, a, v)
-    here0, here1 = fourcurrents(kind, p, a, t[None], x[None])
+    here = fourcurrents(kind, p, a, t[None], x[None])
     g, v = _gamma(v)[:, None], v[:, None]
-    there0, there1 = fourcurrents(
-        kind, p_b, a_b, g * (t - v * x), g * (x - v * t)
-    )
-    gap = np.hypot(
-        there0 - g * (here0 - v * here1),
-        there1 - g * (here1 - v * here0),
-    )
-    return np.max(gap, axis=1)
+    there = fourcurrents(kind, p_b, a_b, g * (t - v * x), g * (x - v * t))
+    return np.max(_fourvector_gap(here, there, g, v), axis=1)
 
 
 def covariance_residual(
@@ -240,13 +250,18 @@ def covariance_residual(
 ) -> float:
     """Max over events of |J'(boosted event) - Lambda J(event)| (2-norm).
 
-    The primed current uses the amplitudes of :func:`transform_amplitudes`;
-    everything is evaluated with the exact plane-wave closed form, so a
-    nonzero residual is a genuine covariance failure, not discretization
-    error.  One superposition of :func:`fourvector_residuals`.
+    The primed current uses :func:`transform_amplitudes`; everything is
+    evaluated with the exact plane-wave closed form, so a nonzero residual
+    is a genuine covariance failure, not discretization error.  Gives
+    bitwise the numbers of :func:`fourvector_residuals` for one
+    superposition.
     """
-    return float(
-        fourvector_residuals(
-            kind, s.momenta[None], s.amplitudes[None], [b.velocity], events
-        )[0]
-    )
+    s_b = transform_amplitudes(s, b, kind)
+    here, there = [], []
+    for t, x in zip(*_event_coordinates(events)):
+        j = fourcurrent_planewaves(s, kind, t, x)
+        j_b = fourcurrent_planewaves(s_b, kind, *boost_event(t, x, b))
+        here.append((j.j0, j.j1))
+        there.append((j_b.j0, j_b.j1))
+    gap = _fourvector_gap(np.transpose(here), np.transpose(there), b.gamma, b.velocity)
+    return float(np.max(gap))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import salpeter1d as s
-from salpeter1d import cli
+from salpeter1d import cli, thresholds
 from salpeter1d.cli import main
 
 
@@ -169,6 +169,14 @@ class TestCovarianceCommand:
         captured = capsys.readouterr()
         assert captured.err == ""
         assert captured.out.splitlines()[-1] == f"covariance: wrote {out} (5701 rows)"
+
+    def test_witness_row_equals_batched_row(self):
+        # the witness goes through constraint_report and covariance_residual,
+        # the sweep through the batched cores; both give the same cells
+        witness = [np.array([c]) for c in thresholds.BORN_WITNESS]
+        assert cli._witness_row(*thresholds.BORN_WITNESS) == cli._covariance_rows(
+            s.BORN, *witness
+        )[0]
 
     def test_literal_sweep_skips_exactly_the_singular_tuples(self, tmp_path, capsys):
         out = tmp_path / "cov.csv"

@@ -7,6 +7,7 @@ import pytest
 from conftest import box_grid, lattice_wave, random_state, random_superposition
 
 import salpeter1d as s
+from salpeter1d.currents import kernel_singular
 
 finite_momenta = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)
 
@@ -73,6 +74,29 @@ class TestKernelValues:
             s.kernel_value(kind, 0.0, 0.0)
         with pytest.raises(s.KernelSingularityError):
             s.kernel_value(kind, np.array([0.3, 0.5]), np.array([0.4, -0.5]))
+
+    @pytest.mark.parametrize(
+        "kind",
+        [s.BORN, s.SCALAR, s.SPIN_HALF, *map(s.literal_half_integer, range(3))],
+        ids=str,
+    )
+    def test_singular_mask_is_where_kernel_value_raises(self, kind):
+        rng = np.random.default_rng(7)
+        p1 = np.concatenate([rng.uniform(-2.0, 2.0, 12), [0.7, 0.0, -1.3]])
+        p2 = np.concatenate([rng.uniform(-2.0, 2.0, 12), [-0.7, 0.0, 1.3]])
+        mask = kernel_singular(kind, p1, p2)
+        assert mask.shape == p1.shape
+        raises = []
+        for a, c in zip(p1, p2):
+            try:
+                s.kernel_value(kind, a, c)
+            except s.KernelSingularityError:
+                raises.append(True)
+            else:
+                raises.append(False)
+        np.testing.assert_array_equal(mask, raises)
+        assert mask[-3:].all() == (kind.name == "literal" and kind.order >= 1)
+        assert not mask[:-3].any()
 
     def test_literal_differs_from_spinhalf(self):
         lit = s.kernel_value(s.literal_half_integer(1), 0.5, 0.5)

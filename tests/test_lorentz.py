@@ -5,6 +5,7 @@ import pytest
 from conftest import random_superposition
 
 import salpeter1d as s
+from salpeter1d import lorentz
 
 momenta = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
 velocities = st.floats(-0.9, 0.9, allow_nan=False, allow_infinity=False)
@@ -239,15 +240,15 @@ class TestBatchedSweep:
     @pytest.mark.parametrize("kind", BATCH_KINDS, ids=str)
     def test_batched_cores_equal_per_row(self, kind):
         p_i, p_j, v = _sweep_tuples()
-        singular = s.singular_tuples(kind, p_i, p_j, v)
+        singular = lorentz.singular_tuples(kind, p_i, p_j, v)
         expected = _per_row(kind, p_i, p_j, v)
         np.testing.assert_array_equal(singular, [row is None for row in expected])
         if kind.order:
             assert singular.sum() >= 7
         ok = ~singular
-        lhs, rhs, residual = s.constraint_residuals(kind, p_i[ok], p_j[ok], v[ok])
+        lhs, rhs, residual = lorentz.constraint_residuals(kind, p_i[ok], p_j[ok], v[ok])
         waves = np.stack([p_i[ok], p_j[ok]], axis=1)
-        fourvec = s.fourvector_residuals(
+        fourvec = lorentz.fourvector_residuals(
             kind, waves, np.ones(waves.shape, complex), v[ok]
         )
         got = list(zip(lhs, rhs, residual, fourvec))
@@ -259,7 +260,7 @@ class TestBatchedSweep:
         sps = [random_superposition(rng, 4) for _ in range(12)]
         v = rng.uniform(-0.9, 0.9, len(sps))
         events = [(0.3, -1.1), (-0.7, 0.4)]
-        got = s.fourvector_residuals(
+        got = lorentz.fourvector_residuals(
             kind,
             [sp.momenta for sp in sps],
             [sp.amplitudes for sp in sps],
@@ -273,14 +274,14 @@ class TestBatchedSweep:
 
     def test_batched_cores_validate_inputs(self):
         with pytest.raises(ValueError, match="coincident"):
-            s.constraint_residuals(s.SCALAR, [0.1, 0.5], [0.2, 0.5], 0.3)
+            lorentz.constraint_residuals(s.SCALAR, [0.1, 0.5], [0.2, 0.5], 0.3)
         with pytest.raises(ValueError, match="velocity"):
-            s.constraint_residuals(s.SCALAR, 0.1, 0.2, [0.3, 1.0])
+            lorentz.constraint_residuals(s.SCALAR, 0.1, 0.2, [0.3, 1.0])
         with pytest.raises(ValueError, match="velocity"):
-            s.fourvector_residuals(s.SCALAR, [[0.1, 0.2]], [[1.0, 1.0]], [-1.0])
+            lorentz.fourvector_residuals(s.SCALAR, [[0.1, 0.2]], [[1.0, 1.0]], [-1.0])
         with pytest.raises(ValueError, match="event"):
-            s.fourvector_residuals(s.SCALAR, [[0.1, 0.2]], [[1.0, 1.0]], [0.3], [])
+            lorentz.fourvector_residuals(s.SCALAR, [[0.1, 0.2]], [[1.0, 1.0]], [0.3], [])
         with pytest.raises(ValueError, match="pairs"):
-            s.fourvector_residuals(
+            lorentz.fourvector_residuals(
                 s.SCALAR, [[0.1, 0.2]], [[1.0, 1.0]], [0.3], [(0.1, 0.2, 0.3), (1, 2, 3)]
             )
