@@ -60,7 +60,6 @@ from .hamiltonian import (
     apply_hamiltonian,
     apply_hamiltonian_series,
     d_minus_signed,
-    d_minus_unsigned,
     d_plus,
     d_vel,
     energy,
@@ -119,7 +118,6 @@ __all__ = [
     "covariance_residual",
     "current",
     "d_minus_signed",
-    "d_minus_unsigned",
     "d_plus",
     "d_vel",
     "default_events",

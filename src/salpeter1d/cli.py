@@ -52,6 +52,7 @@ from .lorentz import (
 )
 from .plotting import line_plot_svg
 from .states import (
+    MOMENTUM_DISTINCT_TOL,
     PlaneWaveSuperposition,
     box_state,
     gaussian_state,
@@ -295,7 +296,7 @@ def _run_covariance(cfg: RunConfig) -> int:
         grid.ravel()
         for grid in np.meshgrid(momenta, momenta, velocities, indexing="ij")
     )
-    distinct = np.abs(p_i - p_j) > 1e-9
+    distinct = np.abs(p_i - p_j) > MOMENTUM_DISTINCT_TOL
     p_i, p_j, v = p_i[distinct], p_j[distinct], v[distinct]
     rows = []
     skipped = 0

@@ -18,20 +18,33 @@ On the grid the integrals become sums over the momentum lattice,
 
     rho_j = (dp^2 / 2 pi) sum_k sum_l F(p_k,p_l) phi_k* phi_l e^{i(p_l-p_k)x_j}
 
-and likewise for J_j with F u.  The separated (fast) forms on the right are
-exactly equal to this double-sum definition; the double-sum path, O(N^2)
-time and O(N) memory, is retained for every kernel as the oracle.  The
-scalar separation relies on the sign-carrying square-root factor:
-gamma(p1,p2) = d+(p1) d+(p2) + d-(p1) d-(p2) holds for all momentum sign
-combinations only when d- is odd in p.
+and likewise for J_j with F u.  The double-sum path, O(N^2) time and O(N)
+memory, serves every kernel and is the oracle.  The fast path is a table of
+separable pairs: a kernel whose weights split as F = sum_A A(p1) A(p2) and
+F u = B(p1) C(p2) + C(p1) B(p2) has
+
+    rho = sum_A |A psi|^2,    J = 2 Re(conj(B psi) C psi),
+
+exactly equal to the double sum.  Every symbol of a pair acts on the one
+FFT of the state (see :mod:`.grids`):
+
+    born       density {1}          current: none (u has no finite split)
+    scalar     density {d+, d-}     current (d+, d-)
+    spinhalf   density {1, d}       current (1, d)
+
+with gamma = d+ d+ + d- d- and gamma u = d+ d- + d- d+.  literal:0 is the
+scalar kernel and uses its pairs; literal:n with n >= 1 diverges on every
+centered lattice, which holds the opposite pair (p_1, p_{n-1}).  The scalar
+separation relies on the sign-carrying square-root factor: it holds for all
+momentum sign combinations only when d- is odd in p.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import Grid1D, WaveFunction, spectral_derivative, to_momentum
-from .hamiltonian import apply_d_operator, d_vel, energy, evolve_free
+from .grids import Grid1D, WaveFunction, fft_symbol, spectral_derivative, to_momentum
+from .hamiltonian import d_minus_signed, d_plus, d_vel, energy
 
 _KERNEL_NAMES = ("born", "scalar", "spinhalf", "literal")
 
@@ -214,47 +227,85 @@ def _kernel_sum(psi: WaveFunction, kind: KernelKind, with_velocity: bool) -> np.
     return np.fft.ifft(bins).real * (n * g.dp**2 / (2.0 * np.pi))
 
 
+# The separable pairs of the module docstring, by kernel name: the density
+# symbols A, and the current pair (B, C) or None.  None stands for the
+# identity, which needs no transform.
+_PAIRS = {
+    "born": ((None,), None),
+    "scalar": ((d_plus, d_minus_signed), (d_plus, d_minus_signed)),
+    "spinhalf": ((None, d_vel), (None, d_vel)),
+}
+
+
+def _separable(kind: KernelKind, grid: Grid1D, path: str, field: str):
+    """The symbols ``field`` ("density" or "current") uses on ``path``, or
+    None for the double sum."""
+    if path not in ("auto", "fast", "generic"):
+        raise ValueError(f"unknown path {path!r}")
+    if path == "generic":
+        return None
+    if kind.name == "literal" and kind.order >= 1:
+        # raises the error the double sum would raise at its first singular pair
+        kernel_value(kind, grid.p[1], grid.p[-1])
+    density_symbols, current_pair = _PAIRS["scalar" if kind.name == "literal" else kind.name]
+    symbols = density_symbols if field == "density" else current_pair
+    if symbols is None and path == "fast":
+        raise ValueError(f"no fast {field} path for kernel {kind}")
+    return symbols
+
+
+def _image(grid: Grid1D, spectrum: np.ndarray, symbol, values=None) -> np.ndarray:
+    """A psi for the state with raw spectrum ``spectrum`` (samples ``values``,
+    where known): one inverse FFT, none for the identity on known samples."""
+    if symbol is None:
+        return np.fft.ifft(spectrum) if values is None else values
+    return np.fft.ifft(spectrum * fft_symbol(grid, symbol))
+
+
+def _pair_density(grid, spectrum, symbols, values=None) -> np.ndarray:
+    """sum_A |A psi|^2 over the density symbols."""
+    rho = None
+    for a in symbols:
+        term = np.abs(_image(grid, spectrum, a, values)) ** 2
+        rho = term if rho is None else rho + term
+    return rho
+
+
+def _pair_current(grid, spectrum, pair, values=None) -> np.ndarray:
+    """2 Re(conj(B psi) C psi) of the current pair (B, C)."""
+    b, c = (_image(grid, spectrum, a, values) for a in pair)
+    return 2.0 * np.real(np.conj(b) * c)
+
+
 def density(psi: WaveFunction, kind: KernelKind, path: str = "auto") -> DensityField:
     """Probability density of a state under the chosen kernel.
 
-    ``path`` selects "fast" (separated/local form), "generic" (double-sum
-    oracle), or "auto" (fast where one exists, generic for literal kernels).
+    ``path`` selects "fast" (the kernel's separable pair, one FFT of the
+    state), "generic" (double-sum oracle), or "auto" (fast; every kernel
+    has a density pair).  A literal kernel of order >= 1 raises
+    :class:`KernelSingularityError` on "auto" and "fast" before any field
+    is built: every centered lattice holds a pair where it diverges.
     """
-    if path not in ("auto", "fast", "generic"):
-        raise ValueError(f"unknown path {path!r}")
-    if path == "generic" or (path == "auto" and kind.name == "literal"):
+    symbols = _separable(kind, psi.grid, path, "density")
+    if symbols is None:
         return DensityField(psi.grid, _kernel_sum(psi, kind, False))
-    if kind.name == "born":
-        vals = np.abs(psi.values) ** 2
-    elif kind.name == "scalar":
-        vals = (
-            np.abs(apply_d_operator(psi, "plus").values) ** 2
-            + np.abs(apply_d_operator(psi, "minus_signed").values) ** 2
-        )
-    elif kind.name == "spinhalf":
-        vals = (
-            np.abs(psi.values) ** 2
-            + np.abs(apply_d_operator(psi, "vel").values) ** 2
-        )
-    else:
-        raise ValueError(f"no fast density path for kernel {kind}")
-    return DensityField(psi.grid, vals)
+    spectrum = np.fft.fft(psi.values) if any(symbols) else None
+    return DensityField(psi.grid, _pair_density(psi.grid, spectrum, symbols, psi.values))
 
 
 def current(psi: WaveFunction, kind: KernelKind, path: str = "auto") -> CurrentField:
     """Probability current of a state under the chosen kernel.
 
-    The spin-half current has a local form 2 Re(psi* D psi); every other
-    kernel goes through the generic double-sum with weight F * u.
+    The scalar and spin-half currents have separable pairs, 2 Re(conj(D+ psi)
+    D- psi) and 2 Re(conj(psi) D psi), taken from one FFT of the state on
+    "auto" and "fast".  The Born current has none: it goes through the
+    generic double sum with weight F * u, and "fast" raises ValueError.
     """
-    if path not in ("auto", "fast", "generic"):
-        raise ValueError(f"unknown path {path!r}")
-    if path in ("auto", "fast") and kind.name == "spinhalf":
-        dpsi = apply_d_operator(psi, "vel").values
-        return CurrentField(psi.grid, 2.0 * np.real(np.conj(psi.values) * dpsi))
-    if path == "fast":
-        raise ValueError(f"no fast current path for kernel {kind}")
-    return CurrentField(psi.grid, _kernel_sum(psi, kind, True))
+    pair = _separable(kind, psi.grid, path, "current")
+    if pair is None:
+        return CurrentField(psi.grid, _kernel_sum(psi, kind, True))
+    spectrum = np.fft.fft(psi.values)
+    return CurrentField(psi.grid, _pair_current(psi.grid, spectrum, pair, psi.values))
 
 
 def fourcurrents(kind: KernelKind, p, a, t, x):
@@ -300,15 +351,25 @@ def fourcurrent_planewaves(s, kind: KernelKind, t: float, x: float) -> FourCurre
 def continuity_residual(psi: WaveFunction, kind: KernelKind, dt: float) -> float:
     """Sup-norm of d(rho)/dt + dJ/dx with a central time difference.
 
-    rho(t +/- dt) comes from the freely evolved state; the spatial derivative
-    is spectral.  For smooth band-limited states the residual decays as dt^2.
+    rho(t +/- dt) comes from the freely evolved state, a phase multiply on
+    the one spectrum of psi that also gives J; the spatial derivative is
+    spectral.  For smooth band-limited states the residual decays as dt^2.
     """
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
-    rho_plus = density(evolve_free(psi, dt), kind).values
-    rho_minus = density(evolve_free(psi, -dt), kind).values
-    j = current(psi, kind).values
-    residual = (rho_plus - rho_minus) / (2.0 * dt) + spectral_derivative(psi.grid, j)
+    g = psi.grid
+    symbols = _separable(kind, g, "auto", "density")
+    pair = _separable(kind, g, "auto", "current")
+    spectrum = np.fft.fft(psi.values)
+    forward = fft_symbol(g, lambda p: np.exp(-1j * energy(p) * dt))
+    rho_plus = _pair_density(g, spectrum * forward, symbols)
+    rho_minus = _pair_density(g, spectrum * np.conj(forward), symbols)
+    if pair is None:
+        j = _kernel_sum(psi, kind, True)
+    else:
+        j = _pair_current(g, spectrum, pair, psi.values)
+    del spectrum, forward  # frees their memory for the derivative's transforms
+    residual = (rho_plus - rho_minus) / (2.0 * dt) + spectral_derivative(g, j)
     return float(np.max(np.abs(residual)))
 
 

@@ -12,7 +12,16 @@ Conventions fixed here and used by every other module:
 
 With these weights the discrete transform is exactly unitary:
 sum |phi_k|^2 dp == sum |psi_j|^2 dx (Parseval) and the round trip is the
-identity, both to machine precision.
+identity, both to machine precision.  :func:`to_momentum` and
+:func:`to_position` are these unitary transforms.
+
+A multiplier never needs that frame: the x_min phase, the centring shift
+and the dx/sqrt(2 pi) weight of the forward transform cancel against those
+of the inverse.  So there is one transform path for every operator,
+
+    apply_symbol(psi, sigma) = ifft(fft(psi) * sigma(p in FFT order)),
+
+on numpy's raw spectrum; ``Grid1D.p_fft`` is the lattice in that order.
 """
 
 from dataclasses import dataclass
@@ -69,6 +78,13 @@ class Grid1D:
     def p(self) -> np.ndarray:
         ks = np.arange(-self.n_points // 2, self.n_points // 2)
         ps = self.dp * ks
+        ps.setflags(write=False)
+        return ps
+
+    @cached_property
+    def p_fft(self) -> np.ndarray:
+        """The momentum lattice in numpy's FFT order, ``ifftshift(p)``."""
+        ps = np.fft.ifftshift(self.p)
         ps.setflags(write=False)
         return ps
 
@@ -135,15 +151,23 @@ def to_position(phi: MomentumSpectrum) -> WaveFunction:
     return WaveFunction(g, vals)
 
 
-def _evaluate_symbol(symbol, p: np.ndarray) -> np.ndarray:
-    vals = np.asarray(symbol(p), dtype=np.complex128)
+def _evaluate_symbol(symbol, grid: Grid1D, p: np.ndarray) -> np.ndarray:
+    """symbol(p) at the lattice points ``p`` (``grid.p`` in either order).
+
+    Real symbols stay real.  A non-finite value raises ValueError naming the
+    offending p_k by its index in centered order.
+    """
+    vals = np.asarray(symbol(p))
+    if vals.dtype.kind not in "fc":
+        vals = vals.astype(np.float64)
     vals = np.broadcast_to(vals, p.shape)
     bad = ~np.isfinite(vals)
     if np.any(bad):
-        k = int(np.flatnonzero(bad)[0])
+        i = int(np.flatnonzero(bad)[0])
+        k = int(np.searchsorted(grid.p, p[i]))
         raise ValueError(
-            f"symbol is not finite at lattice point p_{k} = {p[k]!r} "
-            f"(value {vals[k]!r})"
+            f"symbol is not finite at lattice point p_{k} = {p[i]!r} "
+            f"(value {vals[i]!r})"
         )
     return vals
 
@@ -154,13 +178,22 @@ def spectral_multiplier(phi: MomentumSpectrum, symbol) -> MomentumSpectrum:
     ``symbol`` must accept an ndarray of momenta; a non-finite value at any
     lattice point raises ValueError naming the offending p_k.
     """
-    sym = _evaluate_symbol(symbol, phi.grid.p)
+    sym = _evaluate_symbol(symbol, phi.grid, phi.grid.p)
     return MomentumSpectrum(phi.grid, phi.values * sym)
+
+
+def fft_symbol(grid: Grid1D, symbol) -> np.ndarray:
+    """symbol(p) in FFT order: the factor on ``np.fft.fft`` of a sampled state.
+
+    Checked like :func:`spectral_multiplier`'s symbols.
+    """
+    return _evaluate_symbol(symbol, grid, grid.p_fft)
 
 
 def apply_symbol(psi: WaveFunction, symbol) -> WaveFunction:
     """Position-space action of the pseudo-differential operator symbol(p)."""
-    return to_position(spectral_multiplier(to_momentum(psi), symbol))
+    spectrum = np.fft.fft(psi.values)
+    return WaveFunction(psi.grid, np.fft.ifft(spectrum * fft_symbol(psi.grid, symbol)))
 
 
 def spectral_derivative(grid: Grid1D, values: np.ndarray) -> np.ndarray:

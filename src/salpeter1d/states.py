@@ -113,8 +113,9 @@ def gaussian_state(
 class PlaneWaveSuperposition:
     """Finite sum of on-shell plane waves A_i exp(i(p_i x - E(p_i) t)).
 
-    Momenta must be pairwise distinct; each term always evolves with its
-    on-shell energy E(p_i) = sqrt(p_i^2 + 1), never an independent field.
+    Momenta and amplitudes must be finite and momenta pairwise distinct;
+    each term always evolves with its on-shell energy E(p_i) = sqrt(p_i^2 + 1),
+    never an independent field.
     """
 
     amplitudes: np.ndarray
@@ -127,6 +128,13 @@ class PlaneWaveSuperposition:
             raise ValueError("amplitudes and momenta must be 1-D of equal length")
         if amps.size == 0:
             raise ValueError("superposition needs at least one term")
+        finite = np.isfinite(moms) & np.isfinite(amps)
+        if not np.all(finite):
+            i = int(np.argmin(finite))
+            raise ValueError(
+                f"momenta and amplitudes must be finite: p[{i}]={moms[i]}, "
+                f"A[{i}]={amps[i]}"
+            )
         # the closest pair is adjacent once sorted: O(N log N) time, O(N) memory
         order = np.argsort(moms, kind="stable")
         gaps = np.diff(moms[order])

@@ -330,12 +330,13 @@ def test_c11_fast_paths_match_double_sum_oracle():
     worst = 0.0
     for psi in states:
         for kind in (s.SCALAR, s.SPIN_HALF):
-            fast = s.density(psi, kind, path="fast").values
-            generic = s.density(psi, kind, path="generic").values
-            worst = max(worst, float(np.max(np.abs(fast - generic))))
+            for field in (s.density, s.current):
+                fast = field(psi, kind, path="fast").values
+                generic = field(psi, kind, path="generic").values
+                worst = max(worst, float(np.max(np.abs(fast - generic))))
     ok = worst < bounds.ORACLE_EQUIVALENCE_MAX
-    _report(11, "separated density paths equal the double-sum oracle", ok,
-            f"worst {worst:.3e}")
+    _report(11, "separated density and current paths equal the double-sum oracle",
+            ok, f"worst {worst:.3e}")
     assert worst < bounds.ORACLE_EQUIVALENCE_MAX
 
 

@@ -8,6 +8,7 @@ from conftest import box_grid, lattice_wave, random_state, random_superposition
 
 import salpeter1d as s
 from salpeter1d.currents import kernel_singular
+from salpeter1d.thresholds import ORACLE_EQUIVALENCE_MAX
 
 finite_momenta = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)
 
@@ -147,7 +148,12 @@ class TestDensity:
         ):
             fast = s.density(psi, kind, path="fast").values
             generic = s.density(psi, kind, path="generic").values
-            assert np.max(np.abs(fast - generic)) < 1e-10
+            assert np.max(np.abs(fast - generic)) < ORACLE_EQUIVALENCE_MAX
+            if kind is s.BORN:
+                continue
+            fast = s.current(psi, kind, path="fast").values
+            generic = s.current(psi, kind, path="generic").values
+            assert np.max(np.abs(fast - generic)) < ORACLE_EQUIVALENCE_MAX
 
     def test_generic_path_positivity_within_roundoff(self):
         g = s.make_grid(-16, 16, 256)
@@ -182,6 +188,34 @@ class TestDensity:
         psi = s.gaussian_state(0.0, 0.0, 0.5, g)
         with pytest.raises(s.KernelSingularityError):
             s.density(psi, s.literal_half_integer(1))
+
+    @pytest.mark.parametrize("field", [s.density, s.current])
+    def test_literal_singularity_raised_before_any_field(self, field):
+        # every centered lattice holds an opposite pair; the fast path finds
+        # that without building one array of the grid's size
+        n = 2**16
+        g = s.make_grid(-16, 16, n)
+        psi = s.WaveFunction(g, np.ones(n))
+        g.p  # the cached lattice is built before measuring
+        for path in ("auto", "fast"):
+            tracemalloc.start()
+            try:
+                with pytest.raises(s.KernelSingularityError, match="gamma = 1"):
+                    field(psi, s.literal_half_integer(2), path=path)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < n
+
+    def test_literal_zero_uses_scalar_pairs(self):
+        g = s.make_grid(-16, 16, 256)
+        psi = random_state(g, np.random.default_rng(15))
+        zero = s.literal_half_integer(0)
+        for field in (s.density, s.current):
+            for path in ("auto", "fast"):
+                np.testing.assert_array_equal(
+                    field(psi, zero, path=path).values, field(psi, s.SCALAR).values
+                )
 
     def test_total_density_conserved_under_evolution(self):
         g = s.make_grid(-20, 20, 512)
@@ -219,7 +253,7 @@ class TestCurrent:
         # gamma * u separates as d+(p1) d-(p2) + d-(p1) d+(p2)
         g = s.make_grid(-16, 16, 256)
         psi = s.gaussian_state(0.0, 0.5, 0.4, g)
-        generic = s.current(psi, s.SCALAR).values
+        generic = s.current(psi, s.SCALAR, path="generic").values
         plus = s.apply_d_operator(psi, "plus").values
         minus = s.apply_d_operator(psi, "minus_signed").values
         separated = 2.0 * np.real(np.conj(plus) * minus)
@@ -289,6 +323,65 @@ class TestDoubleSumOracle:
         with pytest.raises(s.KernelSingularityError) as folded:
             field(psi, kind, path="generic")
         assert str(folded.value) == str(dense.value)
+        with pytest.raises(s.KernelSingularityError) as early:
+            field(psi, kind)
+        assert str(early.value) == str(dense.value)
+
+
+class TestPairTable:
+    @hyp.settings(max_examples=40, deadline=None)
+    @hyp.given(
+        n_points=st.sampled_from([8, 16, 32, 64, 128]),
+        x_min=st.floats(-10.0, 10.0),
+        width=st.floats(1.0, 40.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_double_sum(self, n_points, x_min, width, seed):
+        g = s.make_grid(x_min, x_min + width, n_points)
+        psi = random_state(g, np.random.default_rng(seed))
+        for kind in (s.BORN, s.SCALAR, s.SPIN_HALF, s.literal_half_integer(0)):
+            fields = (s.density,) if kind is s.BORN else (s.density, s.current)
+            for field in fields:
+                fast = field(psi, kind, path="fast").values
+                generic = field(psi, kind, path="generic").values
+                # the double sum's roundoff grows with N and the largest
+                # energy on the lattice; relative to the field's peak
+                scale = max(1.0, float(np.max(np.abs(generic))))
+                assert np.max(np.abs(fast - generic)) <= ORACLE_EQUIVALENCE_MAX * scale
+
+    # Peak traced allocation of each fast field at N = 2^16, in complex
+    # arrays of N points, as the separate-transform implementation measured
+    # it: 0.5, 4.5, 4.5, 4.0 and 7.0 arrays, plus up to 4.2 kB of Python
+    # objects (8 KiB allowed for those).  That implementation sent the scalar
+    # current and scalar continuity through the double sum, whose 64-row
+    # weight blocks alone take 64 such arrays; they are held to the bounds of
+    # the scalar density and of the spin-half continuity.
+    @pytest.mark.parametrize(
+        "name,call,arrays",
+        [
+            ("density born", lambda psi: s.density(psi, s.BORN), 0.5),
+            ("density scalar", lambda psi: s.density(psi, s.SCALAR), 4.5),
+            ("density spinhalf", lambda psi: s.density(psi, s.SPIN_HALF), 4.5),
+            ("current scalar", lambda psi: s.current(psi, s.SCALAR), 4.5),
+            ("current spinhalf", lambda psi: s.current(psi, s.SPIN_HALF), 4.0),
+            ("continuity scalar",
+             lambda psi: s.continuity_residual(psi, s.SCALAR, 1e-4), 7.0),
+            ("continuity spinhalf",
+             lambda psi: s.continuity_residual(psi, s.SPIN_HALF, 1e-4), 7.0),
+        ],
+        ids=lambda v: v if isinstance(v, str) else "",
+    )
+    def test_peak_memory(self, name, call, arrays):
+        n = 2**16
+        psi = s.box_state(1.0, 2, box_grid(1.0, n_points=n))
+        call(psi)  # fills the grid's cached lattices
+        tracemalloc.start()
+        try:
+            call(psi)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= arrays * n * np.dtype(np.complex128).itemsize + 8192, name
 
 
 class TestFourCurrent:

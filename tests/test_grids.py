@@ -1,3 +1,5 @@
+import hypothesis as hyp
+import hypothesis.strategies as st
 import numpy as np
 import pytest
 
@@ -136,3 +138,71 @@ def test_inner_product_adjoint_pairing():
     a = s.WaveFunction(g, rng.normal(size=128) + 1j * rng.normal(size=128))
     b = s.WaveFunction(g, rng.normal(size=128) + 1j * rng.normal(size=128))
     assert s.inner_product(a, b) == pytest.approx(np.conj(s.inner_product(b, a)))
+
+
+def _random_state(grid, seed):
+    rng = np.random.default_rng(seed)
+    n = grid.n_points
+    return s.WaveFunction(grid, rng.normal(size=n) + 1j * rng.normal(size=n))
+
+
+@hyp.settings(max_examples=60, deadline=None)
+@hyp.given(
+    x_min=st.floats(-50.0, 50.0),
+    width=st.floats(0.5, 100.0),
+    n_points=st.sampled_from([4, 8, 64, 256, 1024]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_unitary_round_trip_and_parseval(x_min, width, n_points, seed):
+    g = s.make_grid(x_min, x_min + width, n_points)
+    psi = _random_state(g, seed)
+    phi = s.to_momentum(psi)
+    scale = np.max(np.abs(psi.values))
+    assert np.max(np.abs(s.to_position(phi).values - psi.values)) <= 1e-13 * scale
+    assert abs(phi.norm() ** 2 - psi.norm() ** 2) <= 1e-13 * psi.norm() ** 2
+
+
+SYMBOLS = {
+    "energy": s.energy,
+    "d_plus": s.d_plus,
+    "d_minus_signed": s.d_minus_signed,
+    "d_vel": s.d_vel,
+    "derivative": lambda p: 1j * p,
+    "evolution": lambda p: np.exp(-1j * s.energy(p) * 0.7),
+}
+
+
+@hyp.settings(max_examples=60, deadline=None)
+@hyp.given(
+    x_min=st.floats(-50.0, 50.0),
+    width=st.floats(0.5, 100.0),
+    n_points=st.sampled_from([4, 8, 64, 256, 1024]),
+    seed=st.integers(0, 2**32 - 1),
+    name=st.sampled_from(sorted(SYMBOLS)),
+)
+def test_apply_symbol_equals_unitary_frame(x_min, width, n_points, seed, name):
+    # the x_min phase, centring shift and weights of to_momentum cancel
+    # against those of to_position
+    g = s.make_grid(x_min, x_min + width, n_points)
+    psi = _random_state(g, seed)
+    symbol = SYMBOLS[name]
+    framed = s.to_position(s.spectral_multiplier(s.to_momentum(psi), symbol)).values
+    raw = s.apply_symbol(psi, symbol).values
+    assert np.max(np.abs(raw - framed)) <= 1e-13 * np.max(np.abs(framed))
+
+
+def test_symbol_error_names_centred_index_on_every_path():
+    g = s.make_grid(-4, 4, 64)
+    psi = s.WaveFunction(g, np.ones(64))
+
+    def bad(p):
+        return np.where(p == g.p[5], np.nan, 1.0)
+
+    expected = f"symbol is not finite at lattice point p_5 = {g.p[5]!r}"
+    for apply in (
+        lambda: s.spectral_multiplier(s.to_momentum(psi), bad),
+        lambda: s.apply_symbol(psi, bad),
+    ):
+        with pytest.raises(ValueError) as info:
+            apply()
+        assert str(info.value).startswith(expected)

@@ -169,6 +169,24 @@ class TestPlaneWaveSuperposition:
         # one N x N float64 matrix would be 32 GiB; the inputs are 1.5 MiB
         assert peak < 16 * 2**20
 
+    @pytest.mark.parametrize(
+        "amps,moms,bad",
+        [
+            ([1.0, 1.0], [0.5, np.nan], "p[1]=nan"),
+            ([1.0, 1.0], [-np.inf, 0.5], "p[0]=-inf"),
+            ([1.0, np.inf], [0.5, 0.7], "A[1]=(inf+0j)"),
+            ([1.0, complex(0.0, np.nan)], [0.5, 0.7], "A[1]=nanj"),
+            # a NaN gap used to hide the exact duplicate beside it
+            ([1.0, 1.0, 1.0], [0.5, 0.5, np.nan], "p[2]=nan"),
+        ],
+        ids=["nan-momentum", "inf-momentum", "inf-amplitude", "nan-amplitude",
+             "duplicate-beside-nan"],
+    )
+    def test_rejects_non_finite_terms(self, amps, moms, bad):
+        with pytest.raises(ValueError, match="must be finite") as info:
+            s.PlaneWaveSuperposition(amps, moms)
+        assert bad in str(info.value)
+
     def test_rejects_empty(self):
         with pytest.raises(ValueError, match="at least one term"):
             s.PlaneWaveSuperposition([], [])
