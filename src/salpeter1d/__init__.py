@@ -18,9 +18,8 @@ from .currents import (
     BORN,
     SCALAR,
     SPIN_HALF,
-    CurrentField,
-    DensityField,
     FourCurrentSample,
+    GridField,
     KernelKind,
     KernelSingularityError,
     continuity_residual,
@@ -95,11 +94,10 @@ __all__ = [
     "BandLimitError",
     "Boost",
     "ConstraintReport",
-    "CurrentField",
-    "DensityField",
     "DiracField",
     "FourCurrentSample",
     "Grid1D",
+    "GridField",
     "KernelKind",
     "KernelSingularityError",
     "MomentumSpectrum",

@@ -2,19 +2,20 @@
 series verification reports.  CSV output (17 significant digits, atomic
 writes), optional SVG overlay.
 
-Exit codes: 0 success, 1 threshold violation, 2 invalid configuration,
-3 I/O failure.  The environment variable SALPETER_THREADS caps the BLAS
-thread pool through threadpoolctl; without it installed a line on stderr
-says the cap was not applied.  No code path relies on a BLAS matmul, so the
-cap barely changes the work done.
+One table, ``_COMMANDS``, names each command's handler and the flags it
+reads, with their defaults; the parser, the validation and the dispatch all
+follow it.  A command accepts ``--out`` and only the flags in its row; any
+other flag is a usage error.
+
+Exit codes: 0 success, 1 threshold violation, 2 invalid configuration
+(argparse usage errors included), 3 I/O failure.
 """
 
 import argparse
-import contextlib
+import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,100 +66,26 @@ EXIT_THRESHOLD = 1
 EXIT_CONFIG = 2
 EXIT_IO = 3
 
-_COMMANDS = (
-    "figure1",
-    "figure2",
-    "covariance",
-    "continuity",
-    "dirac-check",
-    "series-check",
-)
 
-_DEFAULT_GRID_POINTS = {
-    "figure1": 4096,
-    "figure2": 4096,
-    "covariance": 256,
-    "continuity": 256,
-    "dirac-check": 4096,
-    "series-check": 1024,
-}
-
-_DEFAULT_BOX_WIDTH = {"figure2": 0.5}
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    box_width: float
-    state_n: int
-    grid_points: int
-    pad_factor: float
-    velocity: float | None
-    kernel: KernelKind | None
-    output_path: str
-    emit_svg: bool
-    normalization: str
-
-
-def _build_config(args) -> RunConfig:
-    """Validate every flag against the module preconditions it feeds."""
-    command = args.command
-    box_width = args.box_width
-    if box_width is None:
-        box_width = _DEFAULT_BOX_WIDTH.get(command, 1.0)
-    if box_width <= 0:
-        raise ValueError(f"--box-width must be positive, got {box_width}")
-    if args.state_n < 1:
+def _build_config(args: argparse.Namespace) -> argparse.Namespace:
+    """Validate each flag the command reads against the module preconditions
+    it feeds; ``--kernel`` becomes its :class:`KernelKind`."""
+    given = vars(args)
+    if "box_width" in given and not 0.0 < args.box_width < math.inf:
+        raise ValueError(f"--box-width must be positive and finite, got {args.box_width}")
+    if "state_n" in given and args.state_n < 1:
         raise ValueError(f"--state-n must be >= 1, got {args.state_n}")
-    grid_points = args.grid_points
-    if grid_points is None:
-        grid_points = _DEFAULT_GRID_POINTS[command]
-    if grid_points < 4 or grid_points & (grid_points - 1):
-        raise ValueError(
-            f"--grid-points must be a power of two >= 4, got {grid_points}"
-        )
-    if args.pad_factor < 4.0:
-        raise ValueError(f"--pad-factor must be >= 4, got {args.pad_factor}")
-    if args.velocity is not None and not abs(args.velocity) < 1.0:
+    if "grid_points" in given:
+        n = args.grid_points
+        if n < 4 or n & (n - 1):
+            raise ValueError(f"--grid-points must be a power of two >= 4, got {n}")
+    if "pad_factor" in given and not 4.0 <= args.pad_factor < math.inf:
+        raise ValueError(f"--pad-factor must be finite and >= 4, got {args.pad_factor}")
+    if given.get("velocity") is not None and not abs(args.velocity) < 1.0:
         raise ValueError(f"--velocity must lie in (-1, 1), got {args.velocity}")
-    kernel = parse_kernel(args.kernel) if args.kernel is not None else None
-    out = args.out if args.out is not None else f"{command}.csv"
-    return RunConfig(
-        command=command,
-        box_width=float(box_width),
-        state_n=int(args.state_n),
-        grid_points=int(grid_points),
-        pad_factor=float(args.pad_factor),
-        velocity=args.velocity,
-        kernel=kernel,
-        output_path=out,
-        emit_svg=bool(args.svg),
-        normalization=args.normalization,
-    )
-
-
-def _thread_cap():
-    raw = os.environ.get("SALPETER_THREADS")
-    if not raw:
-        return contextlib.nullcontext()
-    try:
-        count = int(raw)
-        if count < 1:
-            raise ValueError
-    except ValueError:
-        raise ValueError(
-            f"SALPETER_THREADS must be a positive integer, got {raw!r}"
-        ) from None
-    try:
-        from threadpoolctl import threadpool_limits
-    except ImportError:
-        print(
-            f"warning: SALPETER_THREADS={count} not applied: "
-            "threadpoolctl is not installed",
-            file=sys.stderr,
-        )
-        return contextlib.nullcontext()
-    return threadpool_limits(limits=count)
+    if given.get("kernel") is not None:
+        args.kernel = parse_kernel(args.kernel)
+    return args
 
 
 def _format_cell(value) -> str:
@@ -205,6 +132,9 @@ def _box_grid(box_width: float, n_points: int, pad_factor: float) -> Grid1D:
 
 
 def _normalize_column(values: np.ndarray, how: str, dx: float) -> np.ndarray:
+    # a non-finite cell means a configuration the numerics cannot resolve
+    if not np.all(np.isfinite(values)):
+        raise ValueError("cannot normalize a column holding non-finite values")
     if how == "raw":
         return values
     if how == "unit-area":
@@ -218,7 +148,7 @@ def _normalize_column(values: np.ndarray, how: str, dx: float) -> np.ndarray:
     return values / scale
 
 
-def _emit_figure(cfg: RunConfig, columns: dict[str, np.ndarray], grid: Grid1D) -> None:
+def _emit_figure(cfg: argparse.Namespace, columns: dict[str, np.ndarray], grid: Grid1D) -> None:
     x = grid.x
     window = (x >= -0.5 * cfg.box_width) & (x <= 1.5 * cfg.box_width)
     xw = x[window]
@@ -228,15 +158,15 @@ def _emit_figure(cfg: RunConfig, columns: dict[str, np.ndarray], grid: Grid1D) -
     }
     header = ["x"] + list(cols)
     rows = [[xw[i]] + [c[i] for c in cols.values()] for i in range(xw.size)]
-    _write_csv(cfg.output_path, header, rows)
-    if cfg.emit_svg:
+    _write_csv(cfg.out, header, rows)
+    if cfg.svg:
         _write_text_atomic(
-            _svg_path(cfg.output_path),
+            _svg_path(cfg.out),
             line_plot_svg(xw, cols, title=cfg.command),
         )
 
 
-def _run_figure1(cfg: RunConfig) -> int:
+def _run_figure1(cfg: argparse.Namespace) -> int:
     grid = _box_grid(cfg.box_width, cfg.grid_points, cfg.pad_factor)
     psi = box_state(cfg.box_width, cfg.state_n, grid)
     columns = {
@@ -244,11 +174,11 @@ def _run_figure1(cfg: RunConfig) -> int:
         "rho_scalar": density(psi, SCALAR).values,
     }
     _emit_figure(cfg, columns, grid)
-    print(f"figure1: wrote {cfg.output_path}")
+    print(f"figure1: wrote {cfg.out}")
     return EXIT_OK
 
 
-def _run_figure2(cfg: RunConfig) -> int:
+def _run_figure2(cfg: argparse.Namespace) -> int:
     grid = _box_grid(cfg.box_width, cfg.grid_points, cfg.pad_factor)
     psi = superposed_box_state(cfg.box_width, grid)
     columns = {
@@ -257,7 +187,7 @@ def _run_figure2(cfg: RunConfig) -> int:
         "rho_half": density(psi, SPIN_HALF).values,
     }
     _emit_figure(cfg, columns, grid)
-    print(f"figure2: wrote {cfg.output_path}")
+    print(f"figure2: wrote {cfg.out}")
     return EXIT_OK
 
 
@@ -284,7 +214,7 @@ def _witness_row(p_i: float, p_j: float, v: float) -> list:
     return [str(BORN), p_i, p_j, v, report.residual, fourvec]
 
 
-def _run_covariance(cfg: RunConfig) -> int:
+def _run_covariance(cfg: argparse.Namespace) -> int:
     kernels = [cfg.kernel] if cfg.kernel is not None else [BORN, SCALAR, SPIN_HALF]
     velocities = (
         [cfg.velocity]
@@ -314,7 +244,7 @@ def _run_covariance(cfg: RunConfig) -> int:
             row[4] > bounds.BORN_WITNESS_MIN and row[5] > bounds.BORN_WITNESS_MIN
         )
     _write_csv(
-        cfg.output_path,
+        cfg.out,
         ["kernel", "p_i", "p_j", "v", "eq_constraint_residual", "fourvector_residual"],
         rows,
     )
@@ -334,7 +264,7 @@ def _run_covariance(cfg: RunConfig) -> int:
             print(f"covariance: {name} worst residual {worst:.3e}")
     if witness_checked:
         print(f"covariance: born witness {'reproduced' if witness_ok else 'MISSING'}")
-    print(f"covariance: wrote {cfg.output_path} ({len(rows)} rows)")
+    print(f"covariance: wrote {cfg.out} ({len(rows)} rows)")
     if violations:
         print(
             f"covariance: {len(violations)} rows exceed "
@@ -362,7 +292,7 @@ def _continuity_state(grid: Grid1D):
     return sample_on_grid(s, grid)
 
 
-def _run_continuity(cfg: RunConfig) -> int:
+def _run_continuity(cfg: argparse.Namespace) -> int:
     grid = make_grid(-16.0, 16.0, cfg.grid_points)
     psi = _continuity_state(grid)
     kernels = [cfg.kernel] if cfg.kernel is not None else [BORN, SCALAR, SPIN_HALF]
@@ -382,15 +312,15 @@ def _run_continuity(cfg: RunConfig) -> int:
             f"ratio {ratio:.2f} [{'ok' if good else 'FAIL'}]"
         )
     _write_csv(
-        cfg.output_path,
+        cfg.out,
         ["kernel", "dt", "residual_dt", "residual_half_dt", "ratio"],
         rows,
     )
-    print(f"continuity: wrote {cfg.output_path}")
+    print(f"continuity: wrote {cfg.out}")
     return EXIT_OK if ok else EXIT_THRESHOLD
 
 
-def _run_dirac_check(cfg: RunConfig) -> int:
+def _run_dirac_check(cfg: argparse.Namespace) -> int:
     rng = np.random.default_rng(20240817)
     grid = make_grid(-16.0, 16.0, 1024)
     ks = rng.choice(np.arange(-40, 41), size=8, replace=False)
@@ -407,7 +337,7 @@ def _run_dirac_check(cfg: RunConfig) -> int:
         ["superposition", cur_w, evo_w],
         ["box", cur_b, evo_b],
     ]
-    _write_csv(cfg.output_path, ["state", "current_residual", "evolution_residual"], rows)
+    _write_csv(cfg.out, ["state", "current_residual", "evolution_residual"], rows)
     ok_w = max(cur_w, evo_w) < bounds.DIRAC_SUPERPOSITION_MAX
     ok_b = max(cur_b, evo_b) < bounds.DIRAC_BOX_MAX
     print(
@@ -418,7 +348,7 @@ def _run_dirac_check(cfg: RunConfig) -> int:
         f"dirac-check: box residuals ({cur_b:.3e}, {evo_b:.3e}) "
         f"[{'ok' if ok_b else 'FAIL'}]"
     )
-    print(f"dirac-check: wrote {cfg.output_path}")
+    print(f"dirac-check: wrote {cfg.out}")
     return EXIT_OK if (ok_w and ok_b) else EXIT_THRESHOLD
 
 
@@ -431,7 +361,7 @@ def band_limited_state(grid: Grid1D, band: float) -> WaveFunction:
     return WaveFunction(grid, psi.values / psi.norm())
 
 
-def _run_series_check(cfg: RunConfig) -> int:
+def _run_series_check(cfg: argparse.Namespace) -> int:
     grid = make_grid(-80.0, 80.0, cfg.grid_points)
     psi = band_limited_state(grid, bounds.SERIES_BAND)
     exact = apply_hamiltonian(psi)
@@ -449,24 +379,54 @@ def _run_series_check(cfg: RunConfig) -> int:
         ["series_gap", gap],
         ["divergence_detector_fired", int(detector_fired)],
     ]
-    _write_csv(cfg.output_path, ["check", "value"], rows)
+    _write_csv(cfg.out, ["check", "value"], rows)
     ok = gap < bounds.SERIES_GAP_MAX and detector_fired
     print(
         f"series-check: gap {gap:.3e} at k_max={bounds.SERIES_K_MAX}, "
         f"detector {'fired' if detector_fired else 'SILENT'} "
         f"[{'ok' if ok else 'FAIL'}]"
     )
-    print(f"series-check: wrote {cfg.output_path}")
+    print(f"series-check: wrote {cfg.out}")
     return EXIT_OK if ok else EXIT_THRESHOLD
 
 
-_HANDLERS = {
-    "figure1": _run_figure1,
-    "figure2": _run_figure2,
-    "covariance": _run_covariance,
-    "continuity": _run_continuity,
-    "dirac-check": _run_dirac_check,
-    "series-check": _run_series_check,
+_FLAGS = {
+    "--box-width": dict(type=float, help="box width in Compton wavelengths "
+                        "(default %(default)s)"),
+    "--state-n": dict(type=int, help="box quantum number, >= 1 "
+                      "(default %(default)s)"),
+    "--grid-points": dict(type=int, help="grid size, power of two "
+                          "(default %(default)s)"),
+    "--pad-factor": dict(type=float, help="grid width / box width, >= 4 "
+                         "(default %(default)s)"),
+    "--velocity": dict(type=float, help="boost velocity in (-1, 1); "
+                       "omitted: five from -0.9 to 0.9"),
+    "--kernel": dict(type=str, help="born|scalar|spinhalf|literal:n; "
+                     "omitted: born, scalar and spinhalf"),
+    "--svg": dict(action="store_true",
+                  help="also write a line-plot SVG next to the CSV"),
+    "--normalization": dict(choices=("raw", "unit-area", "peak"),
+                            help="figure column normalization "
+                            "(default %(default)s)"),
+}
+
+# command -> (handler, {flag it reads: default}); every command also has --out
+_COMMANDS = {
+    "figure1": (_run_figure1, {
+        "--box-width": 1.0, "--state-n": 2, "--grid-points": 4096,
+        "--pad-factor": 4.0, "--svg": False, "--normalization": "raw",
+    }),
+    "figure2": (_run_figure2, {
+        "--box-width": 0.5, "--grid-points": 4096, "--pad-factor": 4.0,
+        "--svg": False, "--normalization": "raw",
+    }),
+    "covariance": (_run_covariance, {"--velocity": None, "--kernel": None}),
+    "continuity": (_run_continuity, {"--grid-points": 256, "--kernel": None}),
+    "dirac-check": (_run_dirac_check, {
+        "--box-width": 1.0, "--state-n": 2, "--grid-points": 4096,
+        "--pad-factor": 4.0,
+    }),
+    "series-check": (_run_series_check, {"--grid-points": 1024}),
 }
 
 
@@ -479,35 +439,20 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
+    for name, (_, defaults) in _COMMANDS.items():
         p = sub.add_parser(name, help=f"run the {name} report")
-        p.add_argument("--box-width", type=float, default=None,
-                       help="box width in Compton wavelengths")
-        p.add_argument("--state-n", type=int, default=2,
-                       help="box quantum number (default 2)")
-        p.add_argument("--grid-points", type=int, default=None,
-                       help="grid size, power of two")
-        p.add_argument("--pad-factor", type=float, default=4.0,
-                       help="grid width / box width, >= 4")
-        p.add_argument("--velocity", type=float, default=None,
-                       help="boost velocity in (-1, 1)")
-        p.add_argument("--kernel", type=str, default=None,
-                       help="born|scalar|spinhalf|literal:n")
-        p.add_argument("--out", type=str, default=None,
-                       help="output CSV path (default <command>.csv)")
-        p.add_argument("--svg", action="store_true",
-                       help="also write a line-plot SVG next to the CSV")
-        p.add_argument("--normalization", choices=("raw", "unit-area", "peak"),
-                       default="raw", help="figure column normalization")
+        for flag, default in defaults.items():
+            p.add_argument(flag, default=default, **_FLAGS[flag])
+        p.add_argument("--out", type=str, default=f"{name}.csv",
+                       help="output CSV path (default %(default)s)")
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    run, _ = _COMMANDS[args.command]
     try:
-        cfg = _build_config(args)
-        with _thread_cap():
-            return _HANDLERS[cfg.command](cfg)
+        return run(_build_config(args))
     except OSError as exc:
         print(f"error (I/O): {exc}", file=sys.stderr)
         return EXIT_IO

@@ -169,19 +169,8 @@ def current_kernel_value(kind: KernelKind, p1, p2):
 
 
 @dataclass(frozen=True, eq=False)
-class DensityField:
-    """Real probability density sampled on a grid."""
-
-    grid: Grid1D
-    values: np.ndarray
-
-    def integral(self) -> float:
-        return float(np.sum(self.values) * self.grid.dx)
-
-
-@dataclass(frozen=True, eq=False)
-class CurrentField:
-    """Real probability current sampled on a grid."""
+class GridField:
+    """Real probability density or current sampled on a grid."""
 
     grid: Grid1D
     values: np.ndarray
@@ -277,7 +266,7 @@ def _pair_current(grid, spectrum, pair, values=None) -> np.ndarray:
     return 2.0 * np.real(np.conj(b) * c)
 
 
-def density(psi: WaveFunction, kind: KernelKind, path: str = "auto") -> DensityField:
+def density(psi: WaveFunction, kind: KernelKind, path: str = "auto") -> GridField:
     """Probability density of a state under the chosen kernel.
 
     ``path`` selects "fast" (the kernel's separable pair, one FFT of the
@@ -288,12 +277,12 @@ def density(psi: WaveFunction, kind: KernelKind, path: str = "auto") -> DensityF
     """
     symbols = _separable(kind, psi.grid, path, "density")
     if symbols is None:
-        return DensityField(psi.grid, _kernel_sum(psi, kind, False))
+        return GridField(psi.grid, _kernel_sum(psi, kind, False))
     spectrum = np.fft.fft(psi.values) if any(symbols) else None
-    return DensityField(psi.grid, _pair_density(psi.grid, spectrum, symbols, psi.values))
+    return GridField(psi.grid, _pair_density(psi.grid, spectrum, symbols, psi.values))
 
 
-def current(psi: WaveFunction, kind: KernelKind, path: str = "auto") -> CurrentField:
+def current(psi: WaveFunction, kind: KernelKind, path: str = "auto") -> GridField:
     """Probability current of a state under the chosen kernel.
 
     The scalar and spin-half currents have separable pairs, 2 Re(conj(D+ psi)
@@ -303,9 +292,9 @@ def current(psi: WaveFunction, kind: KernelKind, path: str = "auto") -> CurrentF
     """
     pair = _separable(kind, psi.grid, path, "current")
     if pair is None:
-        return CurrentField(psi.grid, _kernel_sum(psi, kind, True))
+        return GridField(psi.grid, _kernel_sum(psi, kind, True))
     spectrum = np.fft.fft(psi.values)
-    return CurrentField(psi.grid, _pair_current(psi.grid, spectrum, pair, psi.values))
+    return GridField(psi.grid, _pair_current(psi.grid, spectrum, pair, psi.values))
 
 
 def fourcurrents(kind: KernelKind, p, a, t, x):

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .currents import SPIN_HALF, CurrentField, DensityField, current, density
+from .currents import SPIN_HALF, GridField, current, density
 from .grids import Grid1D, MomentumSpectrum, WaveFunction, to_momentum, to_position
 from .hamiltonian import apply_d_operator, d_vel, energy, evolve_free
 
@@ -58,11 +58,11 @@ def lift(psi: WaveFunction) -> DiracField:
     return DiracField(psi.grid, psi.values, lower)
 
 
-def dirac_current(field: DiracField) -> tuple[DensityField, CurrentField]:
+def dirac_current(field: DiracField) -> tuple[GridField, GridField]:
     """(rho_D, J_D) of a spinor field."""
     rho = np.abs(field.upper) ** 2 + np.abs(field.lower) ** 2
     j = 2.0 * np.real(np.conj(field.upper) * field.lower)
-    return DensityField(field.grid, rho), CurrentField(field.grid, j)
+    return GridField(field.grid, rho), GridField(field.grid, j)
 
 
 def dirac_evolve(field: DiracField, t: float) -> DiracField:

@@ -1,6 +1,8 @@
+import argparse
 import os
+import re
 import stat
-import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -228,15 +230,28 @@ class TestConfigAndIOErrors:
             ["figure1", "--state-n", "0"],
             ["covariance", "--velocity", "1.5"],
             ["covariance", "--kernel", "weyl"],
+            ["figure1", "--pad-factor", "inf"],
+            ["figure1", "--box-width", "nan"],
+            # finite flags whose density overflows: the raw column holds inf
+            ["figure1", "--box-width", "1e-300", "--grid-points", "256"],
         ],
     )
     def test_invalid_config_exits_2(self, argv, tmp_path, capsys):
-        code = main(argv + ["--out", str(tmp_path / "x.csv")])
+        out = tmp_path / "x.csv"
+        code = main(argv + ["--out", str(out)])
         assert code == 2
         assert "invalid config" in capsys.readouterr().err
+        assert not out.exists()
 
-    @pytest.mark.parametrize("how", ["unit-area", "peak"])
-    @pytest.mark.parametrize("fill", [0.0, np.nan, np.inf])
+    @pytest.mark.parametrize(
+        ("fill", "how"),
+        [
+            (fill, how)
+            for fill in (0.0, np.nan, np.inf)
+            for how in ("unit-area", "peak", "raw")
+            if fill != 0.0 or how != "raw"  # a zero column stays legal on raw
+        ],
+    )
     def test_normalize_rejects_zero_or_nonfinite_scale(self, how, fill):
         values = np.zeros(8)
         values[3] = fill
@@ -249,10 +264,14 @@ class TestConfigAndIOErrors:
         np.testing.assert_array_equal(
             cli._normalize_column(values, "unit-area", 0.5), values / 2.0
         )
+        np.testing.assert_array_equal(cli._normalize_column(values, "raw", 0.5), values)
+        np.testing.assert_array_equal(
+            cli._normalize_column(np.zeros(3), "raw", 0.5), np.zeros(3)
+        )
 
     def test_zero_column_exits_2_without_output(self, tmp_path, capsys, monkeypatch):
         def vanishing(psi, kind):
-            return s.DensityField(psi.grid, np.zeros(psi.grid.n_points))
+            return s.GridField(psi.grid, np.zeros(psi.grid.n_points))
 
         monkeypatch.setattr(cli, "density", vanishing)
         out = tmp_path / "fig.csv"
@@ -281,25 +300,6 @@ class TestConfigAndIOErrors:
         assert "I/O" in capsys.readouterr().err
         assert not missing_dir.exists()
 
-    def test_thread_cap_env_validation(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("SALPETER_THREADS", "zero")
-        code = main(["figure1", "--grid-points", "512",
-                     "--out", str(tmp_path / "x.csv")])
-        assert code == 2
-        assert "SALPETER_THREADS" in capsys.readouterr().err
-
-    def test_thread_cap_env_accepted(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("SALPETER_THREADS", "1")
-        assert main(["figure1", "--grid-points", "512",
-                     "--out", str(tmp_path / "x.csv")]) == 0
-
-    def test_thread_cap_warns_when_not_applied(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("SALPETER_THREADS", "1")
-        monkeypatch.setitem(sys.modules, "threadpoolctl", None)
-        assert main(["figure1", "--grid-points", "512",
-                     "--out", str(tmp_path / "x.csv")]) == 0
-        assert "SALPETER_THREADS=1 not applied" in capsys.readouterr().err
-
     def test_output_files_follow_umask(self, tmp_path):
         out = tmp_path / "fig1.csv"
         previous = os.umask(0o022)
@@ -310,3 +310,71 @@ class TestConfigAndIOErrors:
             os.umask(previous)
         for path in (out, tmp_path / "fig1.svg"):
             assert stat.S_IMODE(os.stat(path).st_mode) == 0o644
+
+
+# the flags each command reads, besides --out
+FLAGS_READ = {
+    "figure1": {"--box-width", "--state-n", "--grid-points", "--pad-factor",
+                "--svg", "--normalization"},
+    "figure2": {"--box-width", "--grid-points", "--pad-factor", "--svg",
+                "--normalization"},
+    "covariance": {"--velocity", "--kernel"},
+    "continuity": {"--grid-points", "--kernel"},
+    "dirac-check": {"--box-width", "--state-n", "--grid-points", "--pad-factor"},
+    "series-check": {"--grid-points"},
+}
+FLAG_VALUES = {
+    "--box-width": ["2.0"],
+    "--state-n": ["3"],
+    "--grid-points": ["256"],
+    "--pad-factor": ["8"],
+    "--velocity": ["0.5"],
+    "--kernel": ["scalar"],
+    "--svg": [],
+    "--normalization": ["peak"],
+}
+
+
+def _subparsers():
+    parser = cli._build_parser()
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+class TestFlagContract:
+    @pytest.mark.parametrize("flag", sorted(FLAG_VALUES))
+    @pytest.mark.parametrize("command", sorted(FLAGS_READ))
+    def test_command_takes_only_the_flags_it_reads(self, command, flag, tmp_path):
+        argv = [command, flag, *FLAG_VALUES[flag]]
+        out = tmp_path / "x.csv"
+        if flag in FLAGS_READ[command]:
+            args = cli._build_parser().parse_args(argv)
+            assert args.command == command
+            return
+        with pytest.raises(SystemExit) as info:
+            main(argv + ["--out", str(out)])
+        assert info.value.code == 2
+        assert not out.exists()
+
+    def test_readme_flag_table_matches_parser(self):
+        # README: | `<command>` | `--flag` default, `--flag`, ... |
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("| command | flags it reads")[1].split("\n\n")[0]
+        rows = re.findall(r"^\| `([a-z0-9-]+)` \| (.*) \|$", block, re.MULTILINE)
+        table = {
+            command: dict(re.findall(r"`(--[a-z-]+)`(?: ([^,]+))?", cells))
+            for command, cells in rows
+        }
+        parsers = _subparsers()
+        assert set(table) == set(parsers)
+        for command, flags in table.items():
+            actions = {
+                a.option_strings[-1]: a for a in parsers[command]._actions
+                if a.option_strings[-1] not in ("--help", "--out")
+            }
+            assert set(flags) == set(actions), command
+            for flag, default in flags.items():
+                shown = actions[flag].default
+                assert default == ("" if shown in (None, False) else str(shown)), (
+                    command, flag,
+                )
