@@ -166,13 +166,17 @@ def _emit_figure(cfg: argparse.Namespace, columns: dict[str, np.ndarray], grid: 
         )
 
 
+def _density_columns(psi: WaveFunction, kinds: dict[str, KernelKind]) -> dict:
+    # a box the numerics cannot resolve overflows into non-finite cells;
+    # _normalize_column turns those into the one invalid-config error
+    with np.errstate(over="ignore", invalid="ignore"):
+        return {name: density(psi, kind).values for name, kind in kinds.items()}
+
+
 def _run_figure1(cfg: argparse.Namespace) -> int:
     grid = _box_grid(cfg.box_width, cfg.grid_points, cfg.pad_factor)
     psi = box_state(cfg.box_width, cfg.state_n, grid)
-    columns = {
-        "rho_born": density(psi, BORN).values,
-        "rho_scalar": density(psi, SCALAR).values,
-    }
+    columns = _density_columns(psi, {"rho_born": BORN, "rho_scalar": SCALAR})
     _emit_figure(cfg, columns, grid)
     print(f"figure1: wrote {cfg.out}")
     return EXIT_OK
@@ -181,11 +185,9 @@ def _run_figure1(cfg: argparse.Namespace) -> int:
 def _run_figure2(cfg: argparse.Namespace) -> int:
     grid = _box_grid(cfg.box_width, cfg.grid_points, cfg.pad_factor)
     psi = superposed_box_state(cfg.box_width, grid)
-    columns = {
-        "rho_born": density(psi, BORN).values,
-        "rho_scalar": density(psi, SCALAR).values,
-        "rho_half": density(psi, SPIN_HALF).values,
-    }
+    columns = _density_columns(
+        psi, {"rho_born": BORN, "rho_scalar": SCALAR, "rho_half": SPIN_HALF}
+    )
     _emit_figure(cfg, columns, grid)
     print(f"figure2: wrote {cfg.out}")
     return EXIT_OK

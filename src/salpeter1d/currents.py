@@ -18,10 +18,14 @@ On the grid the integrals become sums over the momentum lattice,
 
     rho_j = (dp^2 / 2 pi) sum_k sum_l F(p_k,p_l) phi_k* phi_l e^{i(p_l-p_k)x_j}
 
-and likewise for J_j with F u.  The double-sum path, O(N^2) time and O(N)
-memory, serves every kernel and is the oracle.  The fast path is a table of
-separable pairs: a kernel whose weights split as F = sum_A A(p1) A(p2) and
-F u = B(p1) C(p2) + C(p1) B(p2) has
+and likewise for J_j with F u.  The double-sum path serves every kernel and
+is the oracle.  It bins the pair terms by momentum lag r = (l - k) mod N,
+a block of lags at a time, and sums only r = 0..N/2: F and F u are real and
+symmetric, so bin N - r is the conjugate of bin r.  O(N^2) time, O(N)
+memory.
+
+The fast path is a table of separable pairs: a kernel whose weights split
+as F = sum_A A(p1) A(p2) and F u = B(p1) C(p2) + C(p1) B(p2) has
 
     rho = sum_A |A psi|^2,    J = 2 Re(conj(B psi) C psi),
 
@@ -42,15 +46,16 @@ momentum sign combinations only when d- is odd in p.
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .grids import Grid1D, WaveFunction, fft_symbol, spectral_derivative, to_momentum
 from .hamiltonian import d_minus_signed, d_plus, d_vel, energy
 
 _KERNEL_NAMES = ("born", "scalar", "spinhalf", "literal")
 
-# Momentum rows per weight block in the double-sum oracle; bounds its memory
-# at a few _ROW_BLOCK x N arrays.
-_ROW_BLOCK = 64
+# Momentum lags per weight block in the double-sum oracle; bounds its memory
+# at a few _LAG_BLOCK x N arrays.
+_LAG_BLOCK = 64
 
 
 class KernelSingularityError(ValueError):
@@ -190,29 +195,34 @@ class FourCurrentSample:
 
 
 def _kernel_sum(psi: WaveFunction, kind: KernelKind, with_velocity: bool) -> np.ndarray:
-    """Double sum over the momentum lattice, folded by momentum difference.
+    """Double sum over the momentum lattice, folded by momentum lag.
 
     Exact discrete counterpart of the defining double integral with weight F
     (or F * u when ``with_velocity``).  Since p_l - p_k = (l - k) dp and
     dp dx = 2 pi / N, the phase e^{i(p_l - p_k) x_j} depends on j only through
-    (l - k) mod N once phi_k carries e^{i p_k x_min}; every pair term adds into
-    that difference bin and one inverse FFT gives the field.  The weights are
-    built _ROW_BLOCK rows at a time: O(N^2) time, O(N) memory.
+    the lag r = (l - k) mod N once phi_k carries e^{i p_k x_min}; every pair
+    term adds into bin r and one inverse FFT gives the field.  Row r of a
+    sliding window over the wrapped lattice is p_{(k + r) mod N}, so a block
+    of _LAG_BLOCK lags is one weight evaluation against p and one matvec with
+    conj(phi).  F and F u are real and symmetric, so bin N - r is the
+    conjugate of bin r: only the lags r = 0..N/2 are summed, half the pair
+    terms.  O(N^2) time, O(N) memory.
     """
     g = psi.grid
     n = g.n_points
     p = g.p
     phi = to_momentum(psi).values * np.exp(1j * p * g.x_min)
     weight = current_kernel_value if with_velocity else kernel_value
-    cols = np.arange(n)
-    bins = np.zeros(n, dtype=np.complex128)
-    for k0 in range(0, n, _ROW_BLOCK):
-        rows = slice(k0, k0 + _ROW_BLOCK)
-        pair = weight(kind, p[rows, None], p[None, :])
-        pair = pair * np.conj(phi[rows, None]) * phi[None, :]
-        # the term of row k and column l = (k + r) mod N goes to bin r
-        at_bin = (cols[rows, None] + cols[None, :]) % n
-        bins += np.take_along_axis(pair, at_bin, axis=1).sum(axis=0)
+    half = n // 2
+    # row r of each window is the lattice (or phi) shifted by lag r, r = 0..N/2
+    p_lag = sliding_window_view(np.concatenate([p, p[:half]]), n)
+    phi_lag = sliding_window_view(np.concatenate([phi, phi[:half]]), n)
+    phi_conj = np.conj(phi)
+    bins = np.empty(n, dtype=np.complex128)
+    for r0 in range(0, half + 1, _LAG_BLOCK):
+        lags = slice(r0, min(r0 + _LAG_BLOCK, half + 1))
+        bins[lags] = (weight(kind, p[None, :], p_lag[lags]) * phi_lag[lags]) @ phi_conj
+    bins[half + 1 :] = np.conj(bins[half - 1 : 0 : -1])
     return np.fft.ifft(bins).real * (n * g.dp**2 / (2.0 * np.pi))
 
 
@@ -231,11 +241,12 @@ def _separable(kind: KernelKind, grid: Grid1D, path: str, field: str):
     None for the double sum."""
     if path not in ("auto", "fast", "generic"):
         raise ValueError(f"unknown path {path!r}")
+    if kind.name == "literal" and kind.order >= 1:
+        # raises, on every path, the error of the first singular pair in row
+        # order of the lattice's pair matrix
+        kernel_value(kind, grid.p[1], grid.p[-1])
     if path == "generic":
         return None
-    if kind.name == "literal" and kind.order >= 1:
-        # raises the error the double sum would raise at its first singular pair
-        kernel_value(kind, grid.p[1], grid.p[-1])
     density_symbols, current_pair = _PAIRS["scalar" if kind.name == "literal" else kind.name]
     symbols = density_symbols if field == "density" else current_pair
     if symbols is None and path == "fast":
@@ -272,8 +283,8 @@ def density(psi: WaveFunction, kind: KernelKind, path: str = "auto") -> GridFiel
     ``path`` selects "fast" (the kernel's separable pair, one FFT of the
     state), "generic" (double-sum oracle), or "auto" (fast; every kernel
     has a density pair).  A literal kernel of order >= 1 raises
-    :class:`KernelSingularityError` on "auto" and "fast" before any field
-    is built: every centered lattice holds a pair where it diverges.
+    :class:`KernelSingularityError` on every path before any field is
+    built: every centered lattice holds a pair where it diverges.
     """
     symbols = _separable(kind, psi.grid, path, "density")
     if symbols is None:

@@ -243,6 +243,19 @@ class TestConfigAndIOErrors:
         assert "invalid config" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("command", ["figure1", "figure2"])
+    def test_overflowing_box_gives_only_the_config_error(
+        self, command, tmp_path, capsys
+    ):
+        out = tmp_path / "x.csv"
+        code = main([
+            command, "--box-width", "1e-300", "--grid-points", "256", "--out", str(out),
+        ])
+        assert code == 2
+        assert "error (invalid config): cannot normalize" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         ("fill", "how"),
         [

@@ -7,7 +7,7 @@ import pytest
 from conftest import box_grid, lattice_wave, random_state, random_superposition
 
 import salpeter1d as s
-from salpeter1d.currents import kernel_singular
+from salpeter1d.currents import current_kernel_value, kernel_singular
 from salpeter1d.thresholds import ORACLE_EQUIVALENCE_MAX
 
 finite_momenta = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)
@@ -191,13 +191,13 @@ class TestDensity:
 
     @pytest.mark.parametrize("field", [s.density, s.current])
     def test_literal_singularity_raised_before_any_field(self, field):
-        # every centered lattice holds an opposite pair; the fast path finds
+        # every centered lattice holds an opposite pair; each path finds
         # that without building one array of the grid's size
         n = 2**16
         g = s.make_grid(-16, 16, n)
         psi = s.WaveFunction(g, np.ones(n))
         g.p  # the cached lattice is built before measuring
-        for path in ("auto", "fast"):
+        for path in ("auto", "fast", "generic"):
             tracemalloc.start()
             try:
                 with pytest.raises(s.KernelSingularityError, match="gamma = 1"):
@@ -279,6 +279,22 @@ def _explicit_double_sum(psi, kind, with_velocity):
     return np.sum(pair[:, :, None] * phase, axis=(0, 1)) * (g.dp**2 / (2.0 * np.pi))
 
 
+def _binned_double_sum(psi, kind, with_velocity):
+    """The same double sum with all N^2 pair terms added into their lag bin
+    (l - k) mod N, without the kernel's symmetry; O(N^2) memory, not N^3."""
+    g = psi.grid
+    n, p = g.n_points, g.p
+    phi = s.to_momentum(psi).values * np.exp(1j * p * g.x_min)
+    weight = s.kernel_value(kind, p[:, None], p[None, :])
+    if with_velocity:
+        weight = weight * s.u_pair(p[:, None], p[None, :])
+    pair = weight * np.conj(phi)[:, None] * phi[None, :]
+    lag = (np.arange(n)[None, :] - np.arange(n)[:, None]) % n
+    bins = np.zeros(n, dtype=np.complex128)
+    np.add.at(bins, lag, pair)
+    return np.fft.ifft(bins) * (n * g.dp**2 / (2.0 * np.pi))
+
+
 class TestDoubleSumOracle:
     # the explicit sum rounds its phase arguments (p_l - p_k) x_j, which grow
     # as N |x| / width; these ranges keep that rounding far below 1e-12
@@ -300,18 +316,58 @@ class TestDoubleSumOracle:
                 assert np.max(np.abs(explicit.imag)) <= 1e-12 * scale
                 assert np.max(np.abs(generic - explicit.real)) <= 1e-12 * scale
 
+    # N = 4 is the smallest grid, with one mirrored lag bin; N = 256 has 129
+    # lags, two full lag blocks and a partial one
+    @hyp.settings(max_examples=5, deadline=None)
+    @hyp.given(
+        x_min=st.floats(-5.0, 5.0),
+        width=st.floats(2.0, 20.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @pytest.mark.parametrize(
+        ("n_points", "reference"),
+        [(4, _explicit_double_sum), (256, _binned_double_sum)],
+    )
+    def test_matches_reference_across_lag_blocks(
+        self, n_points, reference, x_min, width, seed
+    ):
+        g = s.make_grid(x_min, x_min + width, n_points)
+        psi = random_state(g, np.random.default_rng(seed))
+        for kind in (s.BORN, s.SCALAR, s.SPIN_HALF, s.literal_half_integer(0)):
+            for with_velocity, field in ((False, s.density), (True, s.current)):
+                expected = reference(psi, kind, with_velocity)
+                generic = field(psi, kind, path="generic").values
+                scale = np.max(np.abs(expected))
+                assert np.max(np.abs(expected.imag)) <= 1e-12 * scale
+                assert np.max(np.abs(generic - expected.real)) <= 1e-12 * scale
+
+    @pytest.mark.parametrize(
+        "kind", [s.BORN, s.SCALAR, s.SPIN_HALF, s.literal_half_integer(0)], ids=str
+    )
+    @pytest.mark.parametrize(
+        ("x_min", "width", "n"), [(-16, 32, 64), (0.3, 2.7, 4), (-900, 4000, 512)]
+    )
+    def test_pair_weights_symmetric_bit_for_bit(self, kind, x_min, width, n):
+        # the oracle sums only lags 0..N/2 and takes bin N - r as conj(bin r),
+        # which holds only for weights that equal their transpose exactly
+        p = s.make_grid(x_min, x_min + width, n).p
+        for weight in (s.kernel_value, current_kernel_value):
+            w = weight(kind, p[:, None], p[None, :])
+            np.testing.assert_array_equal(w, w.T)
+
     def test_memory_stays_below_one_pair_matrix(self):
         n = 1024
         g = s.make_grid(-16, 16, n)
         psi = s.gaussian_state(0.0, 0.5, 0.4, g)
         one_matrix = n * n * np.dtype(np.complex128).itemsize
-        tracemalloc.start()
-        try:
-            s.current(psi, s.BORN, path="generic")
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < one_matrix
+        for field, kind in ((s.current, s.BORN), (s.density, s.SCALAR)):
+            tracemalloc.start()
+            try:
+                field(psi, kind, path="generic")
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < one_matrix, (field.__name__, kind)
 
     @pytest.mark.parametrize("field", [s.density, s.current])
     def test_literal_singularity_message_unchanged(self, field):
