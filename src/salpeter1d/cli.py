@@ -77,8 +77,11 @@ def _build_config(args: argparse.Namespace) -> argparse.Namespace:
         raise ValueError(f"--state-n must be >= 1, got {args.state_n}")
     if "grid_points" in given:
         n = args.grid_points
-        if n < 4 or n & (n - 1):
-            raise ValueError(f"--grid-points must be a power of two >= 4, got {n}")
+        if n < 4 or n & (n - 1) or n > bounds.GRID_POINTS_MAX:
+            raise ValueError(
+                "--grid-points must be a power of two from 4 to "
+                f"{bounds.GRID_POINTS_MAX}, got {n}"
+            )
     if "pad_factor" in given and not 4.0 <= args.pad_factor < math.inf:
         raise ValueError(f"--pad-factor must be finite and >= 4, got {args.pad_factor}")
     if given.get("velocity") is not None and not abs(args.velocity) < 1.0:
@@ -114,8 +117,13 @@ def _write_text_atomic(path: str, text: str) -> None:
 
 
 def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
+    """Write the table atomically; a non-finite numeric cell raises
+    ValueError naming its column, and no file is written."""
     lines = [",".join(header)]
     for row in rows:
+        for name, cell in zip(header, row):
+            if not isinstance(cell, str) and not math.isfinite(cell):
+                raise ValueError(f"column {name!r} holds a non-finite value ({cell})")
         lines.append(",".join(_format_cell(cell) for cell in row))
     _write_text_atomic(path, "\n".join(lines) + "\n")
 

@@ -21,8 +21,10 @@ On the grid the integrals become sums over the momentum lattice,
 and likewise for J_j with F u.  The double-sum path serves every kernel and
 is the oracle.  It bins the pair terms by momentum lag r = (l - k) mod N,
 a block of lags at a time, and sums only r = 0..N/2: F and F u are real and
-symmetric, so bin N - r is the conjugate of bin r.  O(N^2) time, O(N)
-memory.
+symmetric, so bin N - r is the conjugate of bin r.  Every weight depends
+on a pair only through (p1, E1, p2, E2), so one pair formula serves all
+kernels: the oracle windows the lattice's N energies like its momenta, and E
+is evaluated once per lattice point.  O(N^2) time, O(N) memory.
 
 The fast path is a table of separable pairs: a kernel whose weights split
 as F = sum_A A(p1) A(p2) and F u = B(p1) C(p2) + C(p1) B(p2) has
@@ -116,16 +118,46 @@ def _float_pair(p1, p2):
     return np.asarray(p1, dtype=dt), np.asarray(p2, dtype=dt)
 
 
+def _pair_weight(kind: KernelKind, p1, e1, p2, e2, velocity: bool = False):
+    """F (or F u) of pairs with energies e1, e2, unchecked; None for the Born
+    density's F = 1, so the caller can skip the multiply."""
+    if kind.name == "spinhalf":
+        f = 1.0 + (p1 / (1.0 + e1)) * (p2 / (1.0 + e2))
+        return f * ((p1 + p2) / (e1 + e2)) if velocity else f
+    u = (p1 + p2) / (e1 + e2)
+    if kind.name == "born":
+        return u if velocity else None
+    g = 1.0 / np.sqrt((1.0 - u) * (1.0 + u))
+    f = g if kind.name == "scalar" else g / (g - 1.0) ** kind.order
+    return f * u if velocity else f
+
+
+def _checked_weight(kind: KernelKind, p1, e1, p2, e2, velocity: bool):
+    """:func:`_pair_weight` with the literal singularity check, and F = 1 as
+    an array."""
+    if kind.name == "literal":
+        singular = np.atleast_1d(kernel_singular(kind, p1, p2))
+        if singular.any():
+            i = tuple(np.argwhere(singular)[0])
+            pa, pb = (np.atleast_1d(b)[i] for b in np.broadcast_arrays(p1, p2))
+            raise KernelSingularityError(
+                f"literal kernel of order {kind.order} diverges at "
+                f"(p1, p2) = ({pa!r}, {pb!r}) where gamma = 1"
+            )
+    w = _pair_weight(kind, p1, e1, p2, e2, velocity)
+    return np.ones(np.broadcast(p1, p2).shape, dtype=p1.dtype) if w is None else w
+
+
 def u_pair(p1, p2):
     """Pair velocity (p1 + p2)/(E1 + E2); always strictly inside (-1, 1)."""
     p1, p2 = _float_pair(p1, p2)
-    return (p1 + p2) / (energy(p1) + energy(p2))
+    return _pair_weight(BORN, p1, energy(p1), p2, energy(p2), velocity=True)
 
 
 def gamma_pair(p1, p2):
     """Lorentz factor of the pair velocity, 1/sqrt(1 - u^2); >= 1, symmetric."""
-    u = u_pair(p1, p2)
-    return 1.0 / np.sqrt((1.0 - u) * (1.0 + u))
+    p1, p2 = _float_pair(p1, p2)
+    return _pair_weight(SCALAR, p1, energy(p1), p2, energy(p2))
 
 
 def kernel_value(kind: KernelKind, p1, p2):
@@ -135,24 +167,7 @@ def kernel_value(kind: KernelKind, p1, p2):
     denominator (gamma - 1)^n vanishes, i.e. on opposite-momentum pairs.
     """
     p1, p2 = _float_pair(p1, p2)
-    if kind.name == "born":
-        return np.ones(np.broadcast(p1, p2).shape, dtype=p1.dtype)
-    if kind.name == "scalar":
-        return gamma_pair(p1, p2)
-    if kind.name == "spinhalf":
-        return 1.0 + d_vel(p1) * d_vel(p2)
-    singular = kernel_singular(kind, p1, p2)
-    if np.any(singular):
-        b1, b2 = np.broadcast_arrays(p1, p2)
-        i = np.argwhere(np.atleast_1d(singular))[0]
-        pa = np.atleast_1d(b1)[tuple(i)]
-        pb = np.atleast_1d(b2)[tuple(i)]
-        raise KernelSingularityError(
-            f"literal kernel of order {kind.order} diverges at "
-            f"(p1, p2) = ({pa!r}, {pb!r}) where gamma = 1"
-        )
-    g = gamma_pair(p1, p2)
-    return g / (g - 1.0) ** kind.order
+    return _checked_weight(kind, p1, energy(p1), p2, energy(p2), False)
 
 
 def kernel_singular(kind: KernelKind, p1, p2) -> np.ndarray:
@@ -170,7 +185,8 @@ def kernel_singular(kind: KernelKind, p1, p2) -> np.ndarray:
 
 def current_kernel_value(kind: KernelKind, p1, p2):
     """Current weight F(p1, p2) * u(p1, p2)."""
-    return kernel_value(kind, p1, p2) * u_pair(p1, p2)
+    p1, p2 = _float_pair(p1, p2)
+    return _checked_weight(kind, p1, energy(p1), p2, energy(p2), True)
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,6 +210,22 @@ class FourCurrentSample:
     j1: float
 
 
+def _lag_window(v: np.ndarray) -> np.ndarray:
+    """Row r is ``v`` shifted by lag r, v_{(k + r) mod N}, for r = 0..N/2."""
+    return sliding_window_view(np.concatenate([v, v[: v.size // 2]]), v.size)
+
+
+def _lag_weights(kind: KernelKind, p: np.ndarray, with_velocity: bool):
+    """(lags, weights) per block of lags r = 0..N/2: row i holds F (or F u) of
+    (p_k, p_{(k + r) mod N}), r = lags.start + i, from E windowed like p."""
+    e = energy(p)
+    p_lag, e_lag = _lag_window(p), _lag_window(e)
+    half = p.size // 2
+    for r0 in range(0, half + 1, _LAG_BLOCK):
+        lags = slice(r0, min(r0 + _LAG_BLOCK, half + 1))
+        yield lags, _pair_weight(kind, p, e, p_lag[lags], e_lag[lags], with_velocity)
+
+
 def _kernel_sum(psi: WaveFunction, kind: KernelKind, with_velocity: bool) -> np.ndarray:
     """Double sum over the momentum lattice, folded by momentum lag.
 
@@ -202,26 +234,26 @@ def _kernel_sum(psi: WaveFunction, kind: KernelKind, with_velocity: bool) -> np.
     dp dx = 2 pi / N, the phase e^{i(p_l - p_k) x_j} depends on j only through
     the lag r = (l - k) mod N once phi_k carries e^{i p_k x_min}; every pair
     term adds into bin r and one inverse FFT gives the field.  Row r of a
-    sliding window over the wrapped lattice is p_{(k + r) mod N}, so a block
-    of _LAG_BLOCK lags is one weight evaluation against p and one matvec with
-    conj(phi).  F and F u are real and symmetric, so bin N - r is the
-    conjugate of bin r: only the lags r = 0..N/2 are summed, half the pair
-    terms.  O(N^2) time, O(N) memory.
+    sliding window over the wrapped lattice is p_{(k + r) mod N}, and the
+    same window over the N energies gives E_{(k + r) mod N}, so a block of
+    _LAG_BLOCK lags is one pair formula on (p, E) windows and one matvec
+    with conj(phi); E is evaluated once per lattice point.  F and F u are
+    real and symmetric, so bin N - r is the conjugate of bin r: only the
+    lags r = 0..N/2 are summed, half the pair terms.  O(N^2) time, O(N)
+    memory.
     """
     g = psi.grid
     n = g.n_points
-    p = g.p
-    phi = to_momentum(psi).values * np.exp(1j * p * g.x_min)
-    weight = current_kernel_value if with_velocity else kernel_value
-    half = n // 2
-    # row r of each window is the lattice (or phi) shifted by lag r, r = 0..N/2
-    p_lag = sliding_window_view(np.concatenate([p, p[:half]]), n)
-    phi_lag = sliding_window_view(np.concatenate([phi, phi[:half]]), n)
+    phi = to_momentum(psi).values * np.exp(1j * g.p * g.x_min)
+    phi_lag = _lag_window(phi)
     phi_conj = np.conj(phi)
     bins = np.empty(n, dtype=np.complex128)
-    for r0 in range(0, half + 1, _LAG_BLOCK):
-        lags = slice(r0, min(r0 + _LAG_BLOCK, half + 1))
-        bins[lags] = (weight(kind, p[None, :], p_lag[lags]) * phi_lag[lags]) @ phi_conj
+    for lags, weights in _lag_weights(kind, g.p, with_velocity):
+        # F = 1: a contiguous copy, as matmul sums strided views without BLAS
+        terms = np.array(phi_lag[lags]) if weights is None else weights * phi_lag[lags]
+        bins[lags] = terms @ phi_conj
+        del weights, terms  # freed before the next block's weights are built
+    half = n // 2
     bins[half + 1 :] = np.conj(bins[half - 1 : 0 : -1])
     return np.fft.ifft(bins).real * (n * g.dp**2 / (2.0 * np.pi))
 
@@ -324,8 +356,8 @@ def fourcurrents(kind: KernelKind, p, a, t, x):
     e1, e2 = e[:, None, :, None], e[:, None, None, :]
     t = np.asarray(t, dtype=float)[..., None, None]
     x = np.asarray(x, dtype=float)[..., None, None]
-    weights = kernel_value(kind, p1, p2)
-    vel = u_pair(p1, p2)
+    weights = _checked_weight(kind, p1, e1, p2, e2, False)
+    vel = _pair_weight(BORN, p1, e1, p2, e2, velocity=True)
     cross = (np.conj(a)[:, None, :, None] * a[:, None, None, :]) * np.exp(
         1j * ((p2 - p1) * x - (e2 - e1) * t)
     )

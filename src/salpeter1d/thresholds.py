@@ -73,3 +73,8 @@ NONREL_LIMIT_MAX = 1e-2
 # Fast separated density paths vs the generic double-sum oracle.
 # test_acceptance c11.
 ORACLE_EQUIVALENCE_MAX = 1e-10
+
+# Largest --grid-points any command accepts; larger grids are rejected with
+# exit 2 before any array is allocated.  Used by: cli._build_config;
+# test_cli TestConfigAndIOErrors::test_invalid_config_exits_2.
+GRID_POINTS_MAX = 2**22

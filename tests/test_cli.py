@@ -234,6 +234,8 @@ class TestConfigAndIOErrors:
             ["figure1", "--box-width", "nan"],
             # finite flags whose density overflows: the raw column holds inf
             ["figure1", "--box-width", "1e-300", "--grid-points", "256"],
+            # above thresholds.GRID_POINTS_MAX: rejected before any array is made
+            ["figure1", "--grid-points", str(2**23)],
         ],
     )
     def test_invalid_config_exits_2(self, argv, tmp_path, capsys):
@@ -295,6 +297,32 @@ class TestConfigAndIOErrors:
         assert code == 2
         assert "cannot normalize a column whose peak is 0.0" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        ("argv", "target", "poison", "column"),
+        [
+            (["covariance", "--kernel", "scalar"], "fourvector_residuals",
+             lambda r: np.concatenate([[np.nan], r[1:]]), "fourvector_residual"),
+            (["continuity", "--grid-points", "64", "--kernel", "scalar"],
+             "continuity_residual", lambda r: np.nan, "residual_dt"),
+            (["dirac-check", "--grid-points", "256"], "equivalence_residuals",
+             lambda r: (np.nan, r[1]), "current_residual"),
+            (["series-check"], "apply_hamiltonian",
+             lambda r: s.WaveFunction(r.grid, np.full_like(r.values, np.nan)), "value"),
+        ],
+        ids=["covariance", "continuity", "dirac-check", "series-check"],
+    )
+    def test_nonfinite_cell_exits_2_without_output(
+        self, argv, target, poison, column, tmp_path, capsys, monkeypatch
+    ):
+        original = getattr(cli, target)
+        monkeypatch.setattr(cli, target, lambda *a, **k: poison(original(*a, **k)))
+        out = tmp_path / "report.csv"
+        code = main(argv + ["--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"error (invalid config): column {column!r} holds a non-finite value" in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_unknown_normalization_rejected_by_parser(self, tmp_path):
         with pytest.raises(SystemExit) as info:

@@ -7,6 +7,7 @@ import pytest
 from conftest import box_grid, lattice_wave, random_state, random_superposition
 
 import salpeter1d as s
+from salpeter1d import currents
 from salpeter1d.currents import current_kernel_value, kernel_singular
 from salpeter1d.thresholds import ORACLE_EQUIVALENCE_MAX
 
@@ -368,6 +369,77 @@ class TestDoubleSumOracle:
             finally:
                 tracemalloc.stop()
             assert peak < one_matrix, (field.__name__, kind)
+
+    def test_memory_holds_one_lag_block_at_a_time(self):
+        # a block's weights and weighted phi window are freed before the next
+        # block's weights are built: keeping them alive adds a complex block
+        n = 1024
+        g = s.make_grid(-16, 16, n)
+        psi = s.gaussian_state(0.0, 0.5, 0.4, g)
+        block = currents._LAG_BLOCK * n * np.dtype(np.complex128).itemsize
+        for kind in (s.BORN, s.SCALAR, s.SPIN_HALF, s.literal_half_integer(0)):
+            for field in (s.density, s.current):
+                tracemalloc.start()
+                try:
+                    field(psi, kind, path="generic")
+                    _, peak = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+                assert peak < 2.5 * block, (field.__name__, str(kind), peak / block)
+
+    @pytest.mark.parametrize(
+        "kind", [s.BORN, s.SCALAR, s.SPIN_HALF, s.literal_half_integer(0)], ids=str
+    )
+    @pytest.mark.parametrize(
+        ("x_min", "width", "n", "dtype"),
+        [
+            (-16, 32, 256, np.float64),
+            (-900, 4000, 512, np.float64),
+            (0.3, 2.7, 4, np.float64),
+            (-16, 32, 256, np.longdouble),
+        ],
+    )
+    def test_lag_weights_equal_pair_matrix_rows(self, kind, x_min, width, n, dtype):
+        # block row i is lag r = lags.start + i: the pairs (p_k, p_{(k + r) mod N}),
+        # bit for bit and in the lattice's precision
+        p = s.make_grid(x_min, x_min + width, n).p.astype(dtype)
+        k = np.arange(n)
+        for with_velocity, weight in ((False, s.kernel_value), (True, current_kernel_value)):
+            full = weight(kind, p[:, None], p[None, :])
+            assert full.dtype == dtype
+            covered = 0
+            for lags, block in currents._lag_weights(kind, p, with_velocity):
+                rows = np.array([full[k, (k + r) % n] for r in range(lags.start, lags.stop)])
+                if block is None:
+                    assert kind is s.BORN and not with_velocity
+                    assert np.all(rows == 1.0)
+                else:
+                    assert block.dtype == dtype and block.shape == rows.shape
+                    assert np.all(block == rows)
+                assert lags.start == covered
+                covered = lags.stop
+            assert covered == n // 2 + 1
+
+    def test_energy_evaluated_once_per_lattice_point(self, monkeypatch):
+        # the lags' energies are windows of the lattice's N energies: the
+        # number of energy evaluations does not grow with the lag blocks
+        calls = []
+
+        def counted(p):
+            calls.append(np.shape(p))
+            return s.energy(p)
+
+        monkeypatch.setattr(currents, "energy", counted)
+        counts = {}
+        for n in (512, 2048):
+            g = s.make_grid(-20, 20, n)
+            psi = random_state(g, np.random.default_rng(n))
+            calls.clear()
+            s.density(psi, s.SCALAR, path="generic")
+            s.current(psi, s.BORN, path="generic")
+            assert all(shape == (n,) for shape in calls), calls
+            counts[n] = len(calls)
+        assert counts[512] == counts[2048]
 
     @pytest.mark.parametrize("field", [s.density, s.current])
     def test_literal_singularity_message_unchanged(self, field):
