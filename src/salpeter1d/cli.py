@@ -84,6 +84,18 @@ def _build_config(args: argparse.Namespace) -> argparse.Namespace:
             )
     if "pad_factor" in given and not 4.0 <= args.pad_factor < math.inf:
         raise ValueError(f"--pad-factor must be finite and >= 4, got {args.pad_factor}")
+    if "state_n" in given:
+        # the mode's momentum n pi / L over the grid's Nyquist momentum pi / dx
+        # is n dx / L = n pad / N, whatever the box width
+        fraction = bounds.BOX_MODE_NYQUIST_FRACTION
+        if args.state_n * args.pad_factor / args.grid_points > fraction:
+            k = args.state_n * math.pi / args.box_width
+            nyquist = math.pi * args.grid_points / (args.pad_factor * args.box_width)
+            raise ValueError(
+                f"--state-n {args.state_n} puts the box mode at k = {k:.4g}, above "
+                f"{fraction * nyquist:.4g} ({fraction} of the grid's Nyquist "
+                f"momentum); raise --grid-points or lower --state-n"
+            )
     if given.get("velocity") is not None and not abs(args.velocity) < 1.0:
         raise ValueError(f"--velocity must lie in (-1, 1), got {args.velocity}")
     if given.get("kernel") is not None:
@@ -231,7 +243,10 @@ def _run_covariance(cfg: argparse.Namespace) -> int:
         if cfg.velocity is not None
         else np.linspace(-0.9, 0.9, 5)
     )
-    momenta = np.linspace(-2.0, 2.0, 20)
+    # the positive half mirrors the negative one, so the opposite pairs
+    # p_i = -p_j are exact and the literal kernels' singular rule finds them
+    half = np.linspace(-2.0, 2.0, 20)[:10]
+    momenta = np.concatenate([half, -half[::-1]])
     p_i, p_j, v = (
         grid.ravel()
         for grid in np.meshgrid(momenta, momenta, velocities, indexing="ij")

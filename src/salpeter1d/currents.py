@@ -12,7 +12,7 @@ with the pair velocity u = (p1+p2)/(E1+E2).  Implemented kernels:
     scalar     F = gamma(p1,p2)           rho = |D+ psi|^2 + |D- psi|^2
     spinhalf   F = 1 + d(p1) d(p2)        rho = |psi|^2 + |D psi|^2,  d = p/(1+E)
     literal:n  F = gamma/(gamma-1)^n      diagnostic family, singular at
-                                          gamma = 1 for n >= 1
+                                          p1 + p2 = 0 for n >= 1
 
 On the grid the integrals become sums over the momentum lattice,
 
@@ -22,9 +22,23 @@ and likewise for J_j with F u.  The double-sum path serves every kernel and
 is the oracle.  It bins the pair terms by momentum lag r = (l - k) mod N,
 a block of lags at a time, and sums only r = 0..N/2: F and F u are real and
 symmetric, so bin N - r is the conjugate of bin r.  Every weight depends
-on a pair only through (p1, E1, p2, E2), so one pair formula serves all
-kernels: the oracle windows the lattice's N energies like its momenta, and E
-is evaluated once per lattice point.  O(N^2) time, O(N) memory.
+on a pair only through its two on-shell points (p, E, a, b), with the
+light-cone momenta a = E - p and b = E + p, so one pair formula serves all
+kernels: the oracle windows the lattice's N points like its momenta, and E,
+a and b are evaluated once per lattice point.  O(N^2) time, O(N) memory.
+
+The pair Lorentz factor is written in light-cone momenta (Dirac, Rev. Mod.
+Phys. 21, 392, 1949).  Since (1 - u)(1 + u) = (a1 + a2)(b1 + b2)/(E1 + E2)^2,
+
+    gamma = (E1 + E2) / sqrt((a1 + a2)(b1 + b2)),
+
+and every sum adds positive terms; a b = 1 gives the smaller of a, b as the
+reciprocal of E + |p|.  So gamma is exact to a few ulp in float64 for any
+pair of momenta, where 1/sqrt((1 - u)(1 + u)) loses about p^2 ulp to the
+cancellation in 1 - |u| of two large momenta of the same sign.  The literal
+family takes gamma - 1 = gamma^2 u^2/(gamma + 1), which vanishes exactly where
+u does, so its singular pairs are exactly the opposite pairs p1 + p2 == 0;
+:func:`kernel_singular` applies that rule and evaluates no gamma.
 
 The fast path is a table of separable pairs: a kernel whose weights split
 as F = sum_A A(p1) A(p2) and F u = B(p1) C(p2) + C(p1) B(p2) has
@@ -113,80 +127,100 @@ def parse_kernel(text: str) -> KernelKind:
     )
 
 
-def _float_pair(p1, p2):
-    dt = np.result_type(np.asarray(p1).dtype, np.asarray(p2).dtype, np.float64)
-    return np.asarray(p1, dtype=dt), np.asarray(p2, dtype=dt)
+def _on_shell(p):
+    """(p, E, a, b) of momenta p, with the light-cone momenta a = E - p and
+    b = E + p.  Since a b = 1, the smaller of the two is taken as the
+    reciprocal of the larger, E + |p|, so neither cancels."""
+    p = np.asarray(p, dtype=float)
+    e = energy(p)
+    far = e + np.abs(p)
+    near = 1.0 / far
+    return p, e, np.where(p > 0, near, far), np.where(p < 0, near, far)
 
 
-def _pair_weight(kind: KernelKind, p1, e1, p2, e2, velocity: bool = False):
-    """F (or F u) of pairs with energies e1, e2, unchecked; None for the Born
-    density's F = 1, so the caller can skip the multiply."""
+def _pair_weight(kind: KernelKind, q1, q2, velocity: bool = False):
+    """F (or F u) of the pairs of on-shell points q1, q2 (see :func:`_on_shell`),
+    unchecked; None for the Born density's F = 1, so the caller can skip the
+    multiply."""
+    (p1, e1, a1, b1), (p2, e2, a2, b2) = q1, q2
     if kind.name == "spinhalf":
         f = 1.0 + (p1 / (1.0 + e1)) * (p2 / (1.0 + e2))
         return f * ((p1 + p2) / (e1 + e2)) if velocity else f
-    u = (p1 + p2) / (e1 + e2)
     if kind.name == "born":
-        return u if velocity else None
-    g = 1.0 / np.sqrt((1.0 - u) * (1.0 + u))
-    f = g if kind.name == "scalar" else g / (g - 1.0) ** kind.order
-    return f * u if velocity else f
+        return (p1 + p2) / (e1 + e2) if velocity else None
+    # (1 - u)(1 + u) = (a1 + a2)(b1 + b2)/(E1 + E2)^2: sums of positive terms
+    f = (e1 + e2) / np.sqrt((a1 + a2) * (b1 + b2))
+    if kind.name == "literal":
+        # gamma - 1 = gamma^2 u^2 / (gamma + 1), exactly zero only at u = 0
+        u = (p1 + p2) / (e1 + e2)
+        f = f / (f * f * u * u / (f + 1.0)) ** kind.order
+        return f * u if velocity else f
+    return f * ((p1 + p2) / (e1 + e2)) if velocity else f
 
 
-def _checked_weight(kind: KernelKind, p1, e1, p2, e2, velocity: bool):
+def _checked_weight(kind: KernelKind, q1, q2, velocity: bool):
     """:func:`_pair_weight` with the literal singularity check, and F = 1 as
     an array."""
-    if kind.name == "literal":
-        singular = np.atleast_1d(kernel_singular(kind, p1, p2))
-        if singular.any():
-            i = tuple(np.argwhere(singular)[0])
-            pa, pb = (np.atleast_1d(b)[i] for b in np.broadcast_arrays(p1, p2))
-            raise KernelSingularityError(
-                f"literal kernel of order {kind.order} diverges at "
-                f"(p1, p2) = ({pa!r}, {pb!r}) where gamma = 1"
-            )
-    w = _pair_weight(kind, p1, e1, p2, e2, velocity)
-    return np.ones(np.broadcast(p1, p2).shape, dtype=p1.dtype) if w is None else w
+    p1, p2 = q1[0], q2[0]
+    # a literal F is inf at u = 0 and wherever it overflows float64, at
+    # nearly opposite pairs (0 < |p1 + p2| < 1e-154 at order 1); no other
+    # F can be
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        w = _pair_weight(kind, q1, q2, velocity)
+    if w is None:
+        return np.ones(np.broadcast(p1, p2).shape)
+    if kind.name == "literal" and not np.isfinite(w).all():
+        i = tuple(np.argwhere(~np.isfinite(np.atleast_1d(w)))[0])
+        pa, pb = (np.atleast_1d(b)[i] for b in np.broadcast_arrays(p1, p2))
+        raise KernelSingularityError(
+            f"literal kernel of order {kind.order} diverges at "
+            f"(p1, p2) = ({pa!r}, {pb!r}) where p1 + p2 = 0 "
+            "(u = 0, gamma = 1) or F overflows float64"
+        )
+    return w
 
 
 def u_pair(p1, p2):
     """Pair velocity (p1 + p2)/(E1 + E2); always strictly inside (-1, 1)."""
-    p1, p2 = _float_pair(p1, p2)
-    return _pair_weight(BORN, p1, energy(p1), p2, energy(p2), velocity=True)
+    return _pair_weight(BORN, _on_shell(p1), _on_shell(p2), velocity=True)
 
 
 def gamma_pair(p1, p2):
-    """Lorentz factor of the pair velocity, 1/sqrt(1 - u^2); >= 1, symmetric."""
-    p1, p2 = _float_pair(p1, p2)
-    return _pair_weight(SCALAR, p1, energy(p1), p2, energy(p2))
+    """Lorentz factor of the pair velocity, 1/sqrt(1 - u^2); >= 1, symmetric.
+
+    Evaluated as (E1 + E2)/sqrt((a1 + a2)(b1 + b2)) on the light-cone momenta
+    a = E - p, b = E + p: no cancellation for any pair of momenta."""
+    return _pair_weight(SCALAR, _on_shell(p1), _on_shell(p2))
 
 
 def kernel_value(kind: KernelKind, p1, p2):
     """Evaluate the kernel F(p1, p2); broadcasts over array arguments.
 
     Raises :class:`KernelSingularityError` where the literal family's
-    denominator (gamma - 1)^n vanishes, i.e. on opposite-momentum pairs.
+    denominator (gamma - 1)^n vanishes, i.e. on opposite-momentum pairs, and
+    where its F overflows float64, at nearly opposite pairs (0 < |p1 + p2|
+    < 1e-154 at order 1).
     """
-    p1, p2 = _float_pair(p1, p2)
-    return _checked_weight(kind, p1, energy(p1), p2, energy(p2), False)
+    return _checked_weight(kind, _on_shell(p1), _on_shell(p2), False)
 
 
 def kernel_singular(kind: KernelKind, p1, p2) -> np.ndarray:
     """Where F(p1, p2) diverges; broadcasts over array arguments.
 
     Only the literal family of order >= 1 diverges: its denominator
-    (gamma - 1)^n vanishes where gamma_pair is exactly one, i.e. on
-    opposite-momentum pairs.  :func:`kernel_value` raises there.
+    (gamma - 1)^n vanishes exactly where u = 0, i.e. on the opposite pairs
+    p1 + p2 == 0.  The rule is exact and evaluates no gamma.
+    :func:`kernel_value` raises there.
     """
-    p1, p2 = _float_pair(p1, p2)
+    p1, p2 = np.asarray(p1, dtype=float), np.asarray(p2, dtype=float)
     if kind.name != "literal" or kind.order < 1:
         return np.zeros(np.broadcast(p1, p2).shape, dtype=bool)
-    return gamma_pair(p1, p2) == 1.0
+    return p1 + p2 == 0.0
 
 
 def current_kernel_value(kind: KernelKind, p1, p2):
     """Current weight F(p1, p2) * u(p1, p2)."""
-    p1, p2 = _float_pair(p1, p2)
-    return _checked_weight(kind, p1, energy(p1), p2, energy(p2), True)
+    return _checked_weight(kind, _on_shell(p1), _on_shell(p2), True)
 
 
 @dataclass(frozen=True, eq=False)
@@ -217,13 +251,14 @@ def _lag_window(v: np.ndarray) -> np.ndarray:
 
 def _lag_weights(kind: KernelKind, p: np.ndarray, with_velocity: bool):
     """(lags, weights) per block of lags r = 0..N/2: row i holds F (or F u) of
-    (p_k, p_{(k + r) mod N}), r = lags.start + i, from E windowed like p."""
-    e = energy(p)
-    p_lag, e_lag = _lag_window(p), _lag_window(e)
+    (p_k, p_{(k + r) mod N}), r = lags.start + i, from (p, E, a, b) windowed
+    like p."""
+    q = _on_shell(p)
+    q_lag = [_lag_window(c) for c in q]
     half = p.size // 2
     for r0 in range(0, half + 1, _LAG_BLOCK):
         lags = slice(r0, min(r0 + _LAG_BLOCK, half + 1))
-        yield lags, _pair_weight(kind, p, e, p_lag[lags], e_lag[lags], with_velocity)
+        yield lags, _pair_weight(kind, q, [c[lags] for c in q_lag], with_velocity)
 
 
 def _kernel_sum(psi: WaveFunction, kind: KernelKind, with_velocity: bool) -> np.ndarray:
@@ -235,12 +270,12 @@ def _kernel_sum(psi: WaveFunction, kind: KernelKind, with_velocity: bool) -> np.
     the lag r = (l - k) mod N once phi_k carries e^{i p_k x_min}; every pair
     term adds into bin r and one inverse FFT gives the field.  Row r of a
     sliding window over the wrapped lattice is p_{(k + r) mod N}, and the
-    same window over the N energies gives E_{(k + r) mod N}, so a block of
-    _LAG_BLOCK lags is one pair formula on (p, E) windows and one matvec
-    with conj(phi); E is evaluated once per lattice point.  F and F u are
-    real and symmetric, so bin N - r is the conjugate of bin r: only the
-    lags r = 0..N/2 are summed, half the pair terms.  O(N^2) time, O(N)
-    memory.
+    same window over the N on-shell points gives their E, a and b, so a
+    block of _LAG_BLOCK lags is one pair formula on (p, E, a, b) windows and
+    one matvec with conj(phi); E, a and b are evaluated once per lattice
+    point.  F and F u are real and symmetric, so bin N - r is the conjugate
+    of bin r: only the lags r = 0..N/2 are summed, half the pair terms.
+    O(N^2) time, O(N) memory.
     """
     g = psi.grid
     n = g.n_points
@@ -349,15 +384,15 @@ def fourcurrents(kind: KernelKind, p, a, t, x):
     superposition, on (M, 1, T, T) pairs; the phases span (M, E, T, T), and
     the sums run over the last two axes.  Returns j0 and j1, shape (M, E).
     """
-    p = np.asarray(p, dtype=float)
+    q = _on_shell(p)
     a = np.asarray(a, dtype=np.complex128)
-    e = energy(p)
-    p1, p2 = p[:, None, :, None], p[:, None, None, :]
-    e1, e2 = e[:, None, :, None], e[:, None, None, :]
+    q1 = [c[:, None, :, None] for c in q]
+    q2 = [c[:, None, None, :] for c in q]
+    (p1, e1, _, _), (p2, e2, _, _) = q1, q2
     t = np.asarray(t, dtype=float)[..., None, None]
     x = np.asarray(x, dtype=float)[..., None, None]
-    weights = _checked_weight(kind, p1, e1, p2, e2, False)
-    vel = _pair_weight(BORN, p1, e1, p2, e2, velocity=True)
+    weights = _checked_weight(kind, q1, q2, False)
+    vel = _pair_weight(BORN, q1, q2, velocity=True)
     cross = (np.conj(a)[:, None, :, None] * a[:, None, None, :]) * np.exp(
         1j * ((p2 - p1) * x - (e2 - e1) * t)
     )

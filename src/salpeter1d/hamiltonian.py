@@ -41,9 +41,8 @@ class BandLimitError(ValueError):
 
 
 def _as_floating(p) -> np.ndarray:
-    # keeps extended-precision inputs (np.longdouble) in extended precision
-    p = np.asarray(p)
-    return p.astype(np.result_type(p.dtype, np.float64), copy=False)
+    # every symbol is evaluated in float64
+    return np.asarray(p, dtype=np.float64)
 
 
 def energy(p):

@@ -11,7 +11,8 @@ corresponding events and any extra phase would inject spurious residuals.
 Both checks are array operations over a whole sweep:
 :func:`constraint_residuals` takes (p_i, p_j, v) tuples of any shape and
 :func:`fourvector_residuals` takes M superpositions with their boosts, so
-the CLI covariance sweep is one array pass per kernel.
+the CLI covariance sweep is one array pass per kernel, in float64
+throughout, so its numbers do not depend on the platform's long double.
 :func:`singular_tuples` marks beforehand the tuples where a literal kernel
 diverges.  The per-item functions :func:`constraint_report`,
 :func:`transform_amplitudes` and :func:`covariance_residual` run on the
@@ -60,7 +61,6 @@ def _gamma(v):
 
 
 def _boost(p, v):
-    # p' = gamma (p - v E(p)) in the precision of p and v
     return _gamma(v) * (p - v * energy(p))
 
 
@@ -123,8 +123,9 @@ def constraint_residuals(kind: KernelKind, p_i, p_j, v):
     """The covariance constraint over many (p_i, p_j, v) tuples at once.
 
     The arguments broadcast against each other.  Returns the two sides and
-    their absolute difference, each rounded to float64 from the extended
-    precision evaluation described at :func:`constraint_report`.
+    their absolute difference, from one float64 pass: the pair factors come
+    from the light-cone form of :func:`~salpeter1d.currents.gamma_pair`,
+    which does not cancel for any pair of momenta.
     """
     p_i, p_j, v = np.broadcast_arrays(p_i, p_j, v)
     close = np.abs(p_i - p_j) <= MOMENTUM_DISTINCT_TOL
@@ -135,18 +136,16 @@ def constraint_residuals(kind: KernelKind, p_i, p_j, v):
             f"(need |p_i - p_j| > {MOMENTUM_DISTINCT_TOL:.0e})"
         )
     _check_velocities(v)
-    ld = np.longdouble
-    pi, pj, v = p_i.astype(ld), p_j.astype(ld), v.astype(ld)
-    pi_b, pj_b = _boost(pi, v), _boost(pj, v)
+    pi_b, pj_b = _boost(p_i, v), _boost(p_j, v)
 
     def ratio(func):
         return (func(pi_b, pj_b) ** 2 / (func(pi_b, pi_b) * func(pj_b, pj_b))) * (
-            func(pi, pi) * func(pj, pj) / func(pi, pj) ** 2
+            func(p_i, p_i) * func(p_j, p_j) / func(p_i, p_j) ** 2
         )
 
     lhs = ratio(lambda a, c: kernel_value(kind, a, c))
     rhs = ratio(gamma_pair)
-    return lhs.astype(float), rhs.astype(float), np.abs(lhs - rhs).astype(float)
+    return lhs, rhs, np.abs(lhs - rhs)
 
 
 def constraint_report(
@@ -157,7 +156,7 @@ def constraint_report(
         [F'_ij^2 / (F'_ii F'_jj)] [F_ii F_jj / F_ij^2]
             = [gamma'_ij^2 / (gamma'_ii gamma'_jj)] [gamma_ii gamma_jj / gamma_ij^2]
 
-    in extended precision.  A kernel whose residual vanishes for all pairs
+    in float64.  A kernel whose residual vanishes for all pairs
     and boosts yields a four-vector current; F = 1 (Born) does not.
     """
     lhs, rhs, residual = constraint_residuals(kind, p_i, p_j, b.velocity)
@@ -176,19 +175,17 @@ def singular_tuples(kind: KernelKind, p_i, p_j, v) -> np.ndarray:
     """Where a covariance row of two plane waves p_i, p_j and boost v diverges.
 
     A row evaluates the kernel at the pairs (p_i, p_j), (p_i, p_i) and
-    (p_j, p_j), before and after the boost, in float64 (the four-current)
-    and in extended precision (the constraint).  The mask is true where
-    :func:`~salpeter1d.currents.kernel_singular` holds at any of them, which
-    is exactly where :func:`constraint_report` or :func:`covariance_residual`
-    raises :class:`KernelSingularityError`.
+    (p_j, p_j), before and after the boost, in float64.  The mask is true
+    where :func:`~salpeter1d.currents.kernel_singular` holds at any of them,
+    which is exactly where :func:`constraint_report` or
+    :func:`covariance_residual` raises :class:`KernelSingularityError`,
+    short of nearly opposite pairs whose F overflows float64.
     """
     p_i, p_j, v = np.broadcast_arrays(p_i, p_j, v)
+    pi_b, pj_b = _boost(p_i, v), _boost(p_j, v)
     mask = np.zeros(p_i.shape, dtype=bool)
-    for dt in (np.float64, np.longdouble):
-        pi, pj, vv = p_i.astype(dt), p_j.astype(dt), v.astype(dt)
-        pi_b, pj_b = _boost(pi, vv), _boost(pj, vv)
-        for a, c in ((pi, pj), (pi, pi), (pj, pj), (pi_b, pj_b), (pi_b, pi_b), (pj_b, pj_b)):
-            mask |= kernel_singular(kind, a, c)
+    for a, c in ((p_i, p_j), (p_i, p_i), (p_j, p_j), (pi_b, pj_b), (pi_b, pi_b), (pj_b, pj_b)):
+        mask |= kernel_singular(kind, a, c)
     return mask
 
 

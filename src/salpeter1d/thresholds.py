@@ -78,3 +78,10 @@ ORACLE_EQUIVALENCE_MAX = 1e-10
 # exit 2 before any array is allocated.  Used by: cli._build_config;
 # test_cli TestConfigAndIOErrors::test_invalid_config_exits_2.
 GRID_POINTS_MAX = 2**22
+
+# Largest box-mode momentum n pi / L a command accepts, as a fraction of the
+# grid's Nyquist momentum pi / dx (four samples per wavelength); a larger
+# mode is aliased or barely resolved.  Used by: cli._build_config for
+# figure1 and dirac-check (exit 2); test_cli
+# TestConfigAndIOErrors::test_invalid_config_exits_2.
+BOX_MODE_NYQUIST_FRACTION = 0.5

@@ -180,15 +180,32 @@ class TestCovarianceCommand:
             s.BORN, *witness
         )[0]
 
+    def test_high_velocity_sweep_passes(self, tmp_path, capsys):
+        # the light-cone pair factor keeps every scalar and spin-half row
+        # under the gate at v = 0.999
+        out = tmp_path / "cov.csv"
+        assert main(["covariance", "--velocity", "0.999", "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        _, rows = _read_csv(out)
+        gated = [r for r in rows if r[0] in ("scalar", "spinhalf")]
+        assert len(gated) == 760
+        assert max(max(float(r[4]), float(r[5])) for r in gated) <= 1e-10
+
     def test_literal_sweep_skips_exactly_the_singular_tuples(self, tmp_path, capsys):
         out = tmp_path / "cov.csv"
-        assert main(["covariance", "--kernel", "literal:1", "--out", str(out)]) == 0
-        captured = capsys.readouterr()
-        assert captured.err == "covariance: skipped 80 singular kernel pairs\n"
-        _, rows = _read_csv(out)
-        assert len(rows) == 1820
-        # every opposite-momentum pair (gamma = 1 before the boost) is skipped
-        assert not [r for r in rows if float(r[1]) == -float(r[2])]
+        # literal:5 too: its F ~ u^-10 squares past float64 at any nearly
+        # opposite pair the sweep writes
+        for kernel in ("literal:1", "literal:5"):
+            assert main(["covariance", "--kernel", kernel, "--out", str(out)]) == 0
+            captured = capsys.readouterr()
+            # the sweep's ten mirror pairs p_j = -p_i, in both orders, at five
+            # velocities: the exact rule p1 + p2 == 0 finds each of them
+            assert captured.err == "covariance: skipped 100 singular kernel pairs\n"
+            _, rows = _read_csv(out)
+            assert len(rows) == 1800
+            # no opposite or nearly opposite pair (u ~ 0 before the boost) is written
+            assert not [r for r in rows if abs(float(r[1]) + float(r[2])) < 1e-12]
+            assert np.isfinite(np.array([r[1:] for r in rows], dtype=float)).all()
 
 
 class TestReportCommands:
@@ -236,6 +253,11 @@ class TestConfigAndIOErrors:
             ["figure1", "--box-width", "1e-300", "--grid-points", "256"],
             # above thresholds.GRID_POINTS_MAX: rejected before any array is made
             ["figure1", "--grid-points", str(2**23)],
+            # box mode k = 9.4e3 against p_nyquist 3.2e3: above
+            # thresholds.BOX_MODE_NYQUIST_FRACTION of Nyquist
+            ["figure1", "--state-n", "3000"],
+            ["dirac-check", "--state-n", "3000"],
+            ["figure1", "--state-n", "513"],
         ],
     )
     def test_invalid_config_exits_2(self, argv, tmp_path, capsys):

@@ -1,4 +1,6 @@
 import tracemalloc
+import warnings
+from decimal import Decimal, localcontext
 
 import hypothesis as hyp
 import hypothesis.strategies as st
@@ -44,6 +46,48 @@ class TestPairFunctions:
         product = s.d_plus(p1) * s.d_plus(p2) + s.d_minus_signed(p1) * s.d_minus_signed(p2)
         assert abs(s.gamma_pair(p1, p2) - product) < 1e-12
         assert s.gamma_pair(p1, p2) >= 1.0
+
+    def test_gamma_exact_against_decimal(self):
+        # same-sign pairs of large momenta are where 1/sqrt((1 - u)(1 + u))
+        # cancels; the light-cone form must hold the float64 roundoff there
+        rng = np.random.default_rng(3)
+        size = 10.0 ** rng.uniform(-3.0, 6.0, (400, 2))
+        sign = np.where(np.arange(400) % 2 == 0, 1.0, -1.0)
+        p1, p2 = size[:, 0], sign * size[:, 1]
+        p1 = np.concatenate([p1, [1e6, 1e6, -1e6, 1e6, 1e-3, 0.0]])
+        p2 = np.concatenate([p2, [1e6, 999999.0, -999999.5, -999999.0, -1e6, 1e6]])
+        got = s.gamma_pair(p1, p2)
+        with localcontext() as ctx:
+            ctx.prec = 60
+            for a, c, g in zip(p1, p2, got):
+                a, c = Decimal(float(a)), Decimal(float(c))
+                u = (a + c) / ((a * a + 1).sqrt() + (c * c + 1).sqrt())
+                exact = 1 / (1 - u * u).sqrt()
+                assert abs(Decimal(float(g)) - exact) <= Decimal("1e-15") * exact, (a, c)
+
+    @hyp.given(
+        p1=st.floats(-1e6, 1e6),
+        p2=st.one_of(st.floats(-1e6, 1e6), st.just(None)),
+        order=st.integers(1, 3),
+    )
+    # not singular, but F = 2/u^2 at u = 5e-201 exceeds float64
+    @hyp.example(p1=1e-200, p2=0.0, order=1)
+    def test_literal_singular_iff_opposite(self, p1, p2, order):
+        # None stands for the exact opposite -p1
+        p2 = -p1 if p2 is None else p2
+        kind = s.literal_half_integer(order)
+        singular = kernel_singular(kind, p1, p2)
+        assert singular == (p1 + p2 == 0.0)
+        # F is finite off the singular pairs, unless it overflows float64
+        # at a nearly opposite pair; it raises in both cases, with no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                f = s.kernel_value(kind, p1, p2)
+            except s.KernelSingularityError:
+                assert singular or abs(p1 + p2) < 1e-30
+            else:
+                assert not singular and np.isfinite(f)
 
 
 class TestKernelValues:
@@ -391,22 +435,16 @@ class TestDoubleSumOracle:
         "kind", [s.BORN, s.SCALAR, s.SPIN_HALF, s.literal_half_integer(0)], ids=str
     )
     @pytest.mark.parametrize(
-        ("x_min", "width", "n", "dtype"),
-        [
-            (-16, 32, 256, np.float64),
-            (-900, 4000, 512, np.float64),
-            (0.3, 2.7, 4, np.float64),
-            (-16, 32, 256, np.longdouble),
-        ],
+        ("x_min", "width", "n"), [(-16, 32, 256), (-900, 4000, 512), (0.3, 2.7, 4)]
     )
-    def test_lag_weights_equal_pair_matrix_rows(self, kind, x_min, width, n, dtype):
+    def test_lag_weights_equal_pair_matrix_rows(self, kind, x_min, width, n):
         # block row i is lag r = lags.start + i: the pairs (p_k, p_{(k + r) mod N}),
-        # bit for bit and in the lattice's precision
-        p = s.make_grid(x_min, x_min + width, n).p.astype(dtype)
+        # bit for bit
+        p = s.make_grid(x_min, x_min + width, n).p
         k = np.arange(n)
         for with_velocity, weight in ((False, s.kernel_value), (True, current_kernel_value)):
             full = weight(kind, p[:, None], p[None, :])
-            assert full.dtype == dtype
+            assert full.dtype == np.float64
             covered = 0
             for lags, block in currents._lag_weights(kind, p, with_velocity):
                 rows = np.array([full[k, (k + r) % n] for r in range(lags.start, lags.stop)])
@@ -414,7 +452,7 @@ class TestDoubleSumOracle:
                     assert kind is s.BORN and not with_velocity
                     assert np.all(rows == 1.0)
                 else:
-                    assert block.dtype == dtype and block.shape == rows.shape
+                    assert block.dtype == np.float64 and block.shape == rows.shape
                     assert np.all(block == rows)
                 assert lags.start == covered
                 covered = lags.stop
@@ -476,6 +514,23 @@ class TestPairTable:
                 # energy on the lattice; relative to the field's peak
                 scale = max(1.0, float(np.max(np.abs(generic))))
                 assert np.max(np.abs(fast - generic)) <= ORACLE_EQUIVALENCE_MAX * scale
+
+    @pytest.mark.parametrize(
+        "grid",
+        [s.make_grid(-0.5, 0.5, 2048), box_grid(1.0)],
+        ids=["N2048-width1", "figure1-default"],
+    )
+    def test_matches_double_sum_at_production_momenta(self, grid):
+        # p_max 6.4e3 and 3.2e3: the momenta the CLI's grids reach, where
+        # the oracle's pair factor must not cancel
+        psi = random_state(grid, np.random.default_rng(grid.n_points))
+        fields = [(s.density, kind) for kind in (*ALL_FAST_KINDS, s.literal_half_integer(0))]
+        fields += [(s.current, s.SCALAR), (s.current, s.SPIN_HALF)]
+        for field, kind in fields:
+            fast = field(psi, kind, path="fast").values
+            generic = field(psi, kind, path="generic").values
+            scale = float(np.max(np.abs(generic)))
+            assert np.max(np.abs(fast - generic)) <= ORACLE_EQUIVALENCE_MAX * scale
 
     # Peak traced allocation of each fast field at N = 2^16, in complex
     # arrays of N points, as the separate-transform implementation measured
