@@ -5,9 +5,10 @@ momenta in units of mc, energies in units of mc^2).
 
 Modules:
 
-    grids        uniform grid, transform conventions, spectral multipliers
+    grids        uniform grid, energy symbol, transform conventions, spectral
+                 multipliers; one spectrum per state, one energy lattice per grid
     states       box shapes, Gaussian packets, plane-wave superpositions
-    hamiltonian  relativistic energy symbol, evolution, square-root factors
+    hamiltonian  spectral and series Hamiltonian, evolution, square-root factors
     currents     density/current kernel families and the double-sum oracle
     lorentz      boosts, amplitude transformation, covariance residuals
     dirac        spinor lift and the 1+1-D Dirac correspondence

@@ -96,6 +96,18 @@ def _build_config(args: argparse.Namespace) -> argparse.Namespace:
                 f"{fraction * nyquist:.4g} ({fraction} of the grid's Nyquist "
                 f"momentum); raise --grid-points or lower --state-n"
             )
+    if args.command == "continuity":
+        # the same rule for the continuity state's higher momentum
+        grid = _continuity_grid(args.grid_points)
+        k = _continuity_momenta(grid.dp)[1]
+        limit = bounds.BOX_MODE_NYQUIST_FRACTION * grid.p_nyquist
+        if k > limit:
+            raise ValueError(
+                f"--grid-points {args.grid_points} puts the continuity state's "
+                f"momentum k = {k:.4g} above {limit:.4g} "
+                f"({bounds.BOX_MODE_NYQUIST_FRACTION} of the grid's Nyquist "
+                "momentum); raise --grid-points"
+            )
     if given.get("velocity") is not None and not abs(args.velocity) < 1.0:
         raise ValueError(f"--velocity must lie in (-1, 1), got {args.velocity}")
     if given.get("kernel") is not None:
@@ -307,19 +319,20 @@ def _run_covariance(cfg: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _continuity_state(grid: Grid1D):
+def _continuity_grid(n_points: int) -> Grid1D:
+    return make_grid(-16.0, 16.0, n_points)
+
+
+def _continuity_momenta(dp: float) -> tuple[float, float]:
     # lattice-aligned momenta with distinct energies; equal-|p| pairs would
     # make the density stationary and the ratio test vacuous
-    dp = grid.dp
-    p1 = dp * max(1, round(0.2 / dp))
-    p2 = dp * max(2, round(1.96 / dp))
-    s = PlaneWaveSuperposition([1.0, 0.7], [p1, p2])
-    return sample_on_grid(s, grid)
+    return dp * max(1, round(0.2 / dp)), dp * max(2, round(1.96 / dp))
 
 
 def _run_continuity(cfg: argparse.Namespace) -> int:
-    grid = make_grid(-16.0, 16.0, cfg.grid_points)
-    psi = _continuity_state(grid)
+    grid = _continuity_grid(cfg.grid_points)
+    waves = PlaneWaveSuperposition([1.0, 0.7], _continuity_momenta(grid.dp))
+    psi = sample_on_grid(waves, grid)
     kernels = [cfg.kernel] if cfg.kernel is not None else [BORN, SCALAR, SPIN_HALF]
     dt = bounds.CONTINUITY_BASE_DT
     rows = []

@@ -45,8 +45,12 @@ as F = sum_A A(p1) A(p2) and F u = B(p1) C(p2) + C(p1) B(p2) has
 
     rho = sum_A |A psi|^2,    J = 2 Re(conj(B psi) C psi),
 
-exactly equal to the double sum.  Every symbol of a pair acts on the one
-FFT of the state (see :mod:`.grids`):
+exactly equal to the double sum.  Every symbol of a pair acts on the
+state's one spectrum, ``WaveFunction.spectrum``, and is written as a
+factor of the on-shell point (p, E), evaluated on the grid's one energy
+lattice, ``Grid1D.e_fft`` (see :mod:`.grids`).  So a state's whole field
+set, densities, currents and continuity residual, takes one forward FFT
+and one evaluation of E:
 
     born       density {1}          current: none (u has no finite split)
     scalar     density {d+, d-}     current (d+, d-)
@@ -64,8 +68,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .grids import Grid1D, WaveFunction, fft_symbol, spectral_derivative, to_momentum
-from .hamiltonian import d_minus_signed, d_plus, d_vel, energy
+from .grids import Grid1D, WaveFunction, energy, fft_symbol, spectral_derivative
+from .hamiltonian import d_minus_shell, d_plus_shell, d_vel_shell
 
 _KERNEL_NAMES = ("born", "scalar", "spinhalf", "literal")
 
@@ -267,7 +271,8 @@ def _kernel_sum(psi: WaveFunction, kind: KernelKind, with_velocity: bool) -> np.
     Exact discrete counterpart of the defining double integral with weight F
     (or F * u when ``with_velocity``).  Since p_l - p_k = (l - k) dp and
     dp dx = 2 pi / N, the phase e^{i(p_l - p_k) x_j} depends on j only through
-    the lag r = (l - k) mod N once phi_k carries e^{i p_k x_min}; every pair
+    the lag r = (l - k) mod N once phi_k carries e^{i p_k x_min}, which is
+    the state's raw spectrum, centred and weighted by dx / sqrt(2 pi); every pair
     term adds into bin r and one inverse FFT gives the field.  Row r of a
     sliding window over the wrapped lattice is p_{(k + r) mod N}, and the
     same window over the N on-shell points gives their E, a and b, so a
@@ -279,7 +284,7 @@ def _kernel_sum(psi: WaveFunction, kind: KernelKind, with_velocity: bool) -> np.
     """
     g = psi.grid
     n = g.n_points
-    phi = to_momentum(psi).values * np.exp(1j * g.p * g.x_min)
+    phi = np.fft.fftshift(psi.spectrum) * (g.dx / np.sqrt(2.0 * np.pi))
     phi_lag = _lag_window(phi)
     phi_conj = np.conj(phi)
     bins = np.empty(n, dtype=np.complex128)
@@ -294,12 +299,13 @@ def _kernel_sum(psi: WaveFunction, kind: KernelKind, with_velocity: bool) -> np.
 
 
 # The separable pairs of the module docstring, by kernel name: the density
-# symbols A, and the current pair (B, C) or None.  None stands for the
-# identity, which needs no transform.
+# symbols A, and the current pair (B, C) or None, each a function of the
+# on-shell point (p, E).  None stands for the identity, which needs no
+# transform.
 _PAIRS = {
     "born": ((None,), None),
-    "scalar": ((d_plus, d_minus_signed), (d_plus, d_minus_signed)),
-    "spinhalf": ((None, d_vel), (None, d_vel)),
+    "scalar": ((d_plus_shell, d_minus_shell), (d_plus_shell, d_minus_shell)),
+    "spinhalf": ((None, d_vel_shell), (None, d_vel_shell)),
 }
 
 
@@ -321,12 +327,18 @@ def _separable(kind: KernelKind, grid: Grid1D, path: str, field: str):
     return symbols
 
 
+def _shell_symbol(grid: Grid1D, symbol) -> np.ndarray:
+    """symbol(p, E) in FFT order, on the grid's one energy lattice; checked
+    like every symbol (see :func:`.grids.fft_symbol`)."""
+    return fft_symbol(grid, lambda p: symbol(p, grid.e_fft))
+
+
 def _image(grid: Grid1D, spectrum: np.ndarray, symbol, values=None) -> np.ndarray:
     """A psi for the state with raw spectrum ``spectrum`` (samples ``values``,
     where known): one inverse FFT, none for the identity on known samples."""
     if symbol is None:
         return np.fft.ifft(spectrum) if values is None else values
-    return np.fft.ifft(spectrum * fft_symbol(grid, symbol))
+    return np.fft.ifft(spectrum * _shell_symbol(grid, symbol))
 
 
 def _pair_density(grid, spectrum, symbols, values=None) -> np.ndarray:
@@ -347,8 +359,8 @@ def _pair_current(grid, spectrum, pair, values=None) -> np.ndarray:
 def density(psi: WaveFunction, kind: KernelKind, path: str = "auto") -> GridField:
     """Probability density of a state under the chosen kernel.
 
-    ``path`` selects "fast" (the kernel's separable pair, one FFT of the
-    state), "generic" (double-sum oracle), or "auto" (fast; every kernel
+    ``path`` selects "fast" (the kernel's separable pair, on the state's
+    one spectrum), "generic" (double-sum oracle), or "auto" (fast; every kernel
     has a density pair).  A literal kernel of order >= 1 raises
     :class:`KernelSingularityError` on every path before any field is
     built: every centered lattice holds a pair where it diverges.
@@ -356,7 +368,7 @@ def density(psi: WaveFunction, kind: KernelKind, path: str = "auto") -> GridFiel
     symbols = _separable(kind, psi.grid, path, "density")
     if symbols is None:
         return GridField(psi.grid, _kernel_sum(psi, kind, False))
-    spectrum = np.fft.fft(psi.values) if any(symbols) else None
+    spectrum = psi.spectrum if any(symbols) else None
     return GridField(psi.grid, _pair_density(psi.grid, spectrum, symbols, psi.values))
 
 
@@ -364,15 +376,14 @@ def current(psi: WaveFunction, kind: KernelKind, path: str = "auto") -> GridFiel
     """Probability current of a state under the chosen kernel.
 
     The scalar and spin-half currents have separable pairs, 2 Re(conj(D+ psi)
-    D- psi) and 2 Re(conj(psi) D psi), taken from one FFT of the state on
-    "auto" and "fast".  The Born current has none: it goes through the
+    D- psi) and 2 Re(conj(psi) D psi), taken from the state's one spectrum
+    on "auto" and "fast".  The Born current has none: it goes through the
     generic double sum with weight F * u, and "fast" raises ValueError.
     """
     pair = _separable(kind, psi.grid, path, "current")
     if pair is None:
         return GridField(psi.grid, _kernel_sum(psi, kind, True))
-    spectrum = np.fft.fft(psi.values)
-    return GridField(psi.grid, _pair_current(psi.grid, spectrum, pair, psi.values))
+    return GridField(psi.grid, _pair_current(psi.grid, psi.spectrum, pair, psi.values))
 
 
 def fourcurrents(kind: KernelKind, p, a, t, x):
@@ -418,24 +429,24 @@ def fourcurrent_planewaves(s, kind: KernelKind, t: float, x: float) -> FourCurre
 def continuity_residual(psi: WaveFunction, kind: KernelKind, dt: float) -> float:
     """Sup-norm of d(rho)/dt + dJ/dx with a central time difference.
 
-    rho(t +/- dt) comes from the freely evolved state, a phase multiply on
-    the one spectrum of psi that also gives J; the spatial derivative is
-    spectral.  For smooth band-limited states the residual decays as dt^2.
+    rho(t +/- dt) comes from the freely evolved state, a phase multiply
+    exp(-i E dt) on the one spectrum of psi that also gives J, with E the
+    grid's one energy lattice; the spatial derivative is spectral.  For
+    smooth band-limited states the residual decays as dt^2.
     """
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
     g = psi.grid
     symbols = _separable(kind, g, "auto", "density")
     pair = _separable(kind, g, "auto", "current")
-    spectrum = np.fft.fft(psi.values)
-    forward = fft_symbol(g, lambda p: np.exp(-1j * energy(p) * dt))
-    rho_plus = _pair_density(g, spectrum * forward, symbols)
-    rho_minus = _pair_density(g, spectrum * np.conj(forward), symbols)
+    forward = _shell_symbol(g, lambda p, e: np.exp(-1j * e * dt))
+    rho_plus = _pair_density(g, psi.spectrum * forward, symbols)
+    rho_minus = _pair_density(g, psi.spectrum * np.conj(forward), symbols)
+    del forward  # frees its memory for the current's transforms
     if pair is None:
         j = _kernel_sum(psi, kind, True)
     else:
-        j = _pair_current(g, spectrum, pair, psi.values)
-    del spectrum, forward  # frees their memory for the derivative's transforms
+        j = _pair_current(g, psi.spectrum, pair, psi.values)
     residual = (rho_plus - rho_minus) / (2.0 * dt) + spectral_derivative(g, j)
     return float(np.max(np.abs(residual)))
 

@@ -22,6 +22,16 @@ of the inverse.  So there is one transform path for every operator,
     apply_symbol(psi, sigma) = ifft(fft(psi) * sigma(p in FFT order)),
 
 on numpy's raw spectrum; ``Grid1D.p_fft`` is the lattice in that order.
+
+What an immutable state or grid determines is computed once and kept.
+A state keeps one spectrum, ``WaveFunction.spectrum`` (16 bytes per point
+for as long as the state lives): :func:`to_momentum`, every multiplier and
+every field of the state read it, so no library path transforms the same
+state twice.  A grid keeps one energy lattice, ``Grid1D.e_fft``, the mass
+shell E(p) = sqrt(p^2 + 1) on ``p_fft``: the fast fields' factors and the
+continuity residual's free phase are built from it.  Symbols evaluated
+from them are not kept: they cost a few array passes to rebuild, and a
+cache of them would hold several N-arrays per grid.
 """
 
 from dataclasses import dataclass
@@ -30,6 +40,11 @@ from functools import cached_property
 import numpy as np
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
+
+
+def energy(p):
+    """Relativistic energy E(p) = sqrt(p^2 + 1); even, >= 1, ~|p| at infinity."""
+    return np.hypot(np.asarray(p, dtype=np.float64), 1.0)
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -88,6 +103,13 @@ class Grid1D:
         ps.setflags(write=False)
         return ps
 
+    @cached_property
+    def e_fft(self) -> np.ndarray:
+        """The energy lattice E(p) in numpy's FFT order, ``energy(p_fft)``."""
+        es = energy(self.p_fft)
+        es.setflags(write=False)
+        return es
+
 
 def make_grid(x_min: float, x_max: float, n_points: int) -> Grid1D:
     """Construct a grid; rejects degenerate intervals and non power-of-two sizes."""
@@ -118,6 +140,13 @@ class WaveFunction:
         """L2 norm, sqrt(sum |psi_j|^2 dx)."""
         return float(np.sqrt(np.sum(np.abs(self.values) ** 2) * self.grid.dx))
 
+    @cached_property
+    def spectrum(self) -> np.ndarray:
+        """numpy's raw ``fft(values)``, in FFT order; computed once per state."""
+        raw = np.fft.fft(self.values)
+        raw.setflags(write=False)
+        return raw
+
 
 @dataclass(frozen=True, eq=False)
 class MomentumSpectrum:
@@ -138,7 +167,7 @@ class MomentumSpectrum:
 def to_momentum(psi: WaveFunction) -> MomentumSpectrum:
     """Forward transform; unitary with the module's weights."""
     g = psi.grid
-    raw = np.fft.fftshift(np.fft.fft(psi.values))
+    raw = np.fft.fftshift(psi.spectrum)
     phase = np.exp(-1j * g.p * g.x_min)
     return MomentumSpectrum(g, raw * phase * (g.dx / _SQRT_2PI))
 
@@ -192,17 +221,23 @@ def fft_symbol(grid: Grid1D, symbol) -> np.ndarray:
 
 def apply_symbol(psi: WaveFunction, symbol) -> WaveFunction:
     """Position-space action of the pseudo-differential operator symbol(p)."""
-    spectrum = np.fft.fft(psi.values)
-    return WaveFunction(psi.grid, np.fft.ifft(spectrum * fft_symbol(psi.grid, symbol)))
+    return WaveFunction(psi.grid, np.fft.ifft(psi.spectrum * fft_symbol(psi.grid, symbol)))
 
 
 def spectral_derivative(grid: Grid1D, values: np.ndarray) -> np.ndarray:
-    """d/dx of a sampled field via the momentum lattice; real in, real out."""
-    field = WaveFunction(grid, np.asarray(values, dtype=np.complex128))
-    out = apply_symbol(field, lambda p: 1j * p).values
-    if np.isrealobj(values):
-        return out.real
-    return out
+    """d/dx of a sampled field via the momentum lattice; real in, real out.
+
+    A real field takes the half spectrum, ``irfft(rfft(f) * i p)``.  The
+    Nyquist bin's derivative is imaginary and drops out, as it does from the
+    real part of the complex path, which complex fields keep.
+    """
+    if not np.isrealobj(values):
+        return apply_symbol(WaveFunction(grid, values), lambda p: 1j * p).values
+    n = grid.n_points
+    values = np.asarray(values, dtype=np.float64)
+    if values.shape != (n,):
+        raise ValueError(f"values must have shape ({n},), got {values.shape}")
+    return np.fft.irfft(np.fft.rfft(values) * (1j * grid.p_fft[: n // 2 + 1]), n)
 
 
 def inner_product(a: WaveFunction, b: WaveFunction) -> complex:

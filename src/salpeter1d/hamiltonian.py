@@ -13,6 +13,11 @@ generalized binomial expansion of sqrt(1 + p^2), valid on |p| < 1; it is
 applied as the exactly equivalent momentum-space polynomial rather than as
 repeated grid Laplacians, so no finite-difference error accumulates.
 
+E(p) itself lives in :mod:`.grids`, where each grid keeps its energy
+lattice; each square-root factor is written once as a function of the
+on-shell point (p, E), and d_plus, d_minus_signed and d_vel evaluate it at
+the energies of their momenta.
+
 d_minus carries sign(p).  The unsigned variant fails to reproduce the pair
 Lorentz factor for opposite-sign momentum pairs; it is kept only as a
 diagnostic (``apply_d_operator(..., "minus_unsigned")``) for side-by-side
@@ -26,6 +31,7 @@ from .grids import (
     MomentumSpectrum,
     WaveFunction,
     apply_symbol,
+    energy,
     spectral_multiplier,
     to_momentum,
     to_position,
@@ -40,19 +46,30 @@ class BandLimitError(ValueError):
     """State has spectral mass outside the series' radius of convergence."""
 
 
-def _as_floating(p) -> np.ndarray:
-    # every symbol is evaluated in float64
-    return np.asarray(p, dtype=np.float64)
+def d_plus_shell(p, e):
+    """sqrt((E + 1)/2) at the on-shell point (p, E)."""
+    return np.sqrt((e + 1.0) / 2.0)
 
 
-def energy(p):
-    """Relativistic energy E(p) = sqrt(p^2 + 1); even, >= 1, ~|p| at infinity."""
-    return np.hypot(_as_floating(p), 1.0)
+def d_minus_shell(p, e):
+    """sign(p) * sqrt((E - 1)/2) at (p, E), written as p / sqrt(2(E + 1))."""
+    return p / np.sqrt(2.0 * (e + 1.0))
+
+
+def d_vel_shell(p, e):
+    """p / (1 + E) at the on-shell point (p, E)."""
+    return p / (1.0 + e)
+
+
+def _shell_point(p):
+    """(p, E) of momenta p, in float64."""
+    p = np.asarray(p, dtype=np.float64)
+    return p, energy(p)
 
 
 def d_plus(p):
     """sqrt((E + 1)/2); equals 1 at rest."""
-    return np.sqrt((energy(p) + 1.0) / 2.0)
+    return d_plus_shell(*_shell_point(p))
 
 
 def d_minus_signed(p):
@@ -62,8 +79,7 @@ def d_minus_signed(p):
     but avoids the cancellation in E - 1 for small p and makes sign(0) = 0
     automatic.
     """
-    p = _as_floating(p)
-    return p / np.sqrt(2.0 * (energy(p) + 1.0))
+    return d_minus_shell(*_shell_point(p))
 
 
 def d_minus_unsigned(p):
@@ -73,8 +89,7 @@ def d_minus_unsigned(p):
 
 def d_vel(p):
     """p / (1 + E), the lower-component weight of a positive-energy mode."""
-    p = _as_floating(p)
-    return p / (1.0 + energy(p))
+    return d_vel_shell(*_shell_point(p))
 
 
 _D_SYMBOLS = {

@@ -81,7 +81,8 @@ GRID_POINTS_MAX = 2**22
 
 # Largest box-mode momentum n pi / L a command accepts, as a fraction of the
 # grid's Nyquist momentum pi / dx (four samples per wavelength); a larger
-# mode is aliased or barely resolved.  Used by: cli._build_config for
-# figure1 and dirac-check (exit 2); test_cli
+# mode is aliased or barely resolved.  The same bound holds the continuity
+# state's higher momentum, 10 dp ~ 1.96.  Used by: cli._build_config for
+# figure1, dirac-check and continuity (exit 2); test_cli
 # TestConfigAndIOErrors::test_invalid_config_exits_2.
 BOX_MODE_NYQUIST_FRACTION = 0.5

@@ -258,6 +258,9 @@ class TestConfigAndIOErrors:
             ["figure1", "--state-n", "3000"],
             ["dirac-check", "--state-n", "3000"],
             ["figure1", "--state-n", "513"],
+            # the continuity state's momentum 10 dp ~ 1.96 against the same
+            # fraction of p_nyquist = pi N / 32
+            *(["continuity", "--grid-points", n] for n in ("4", "8", "16", "32")),
         ],
     )
     def test_invalid_config_exits_2(self, argv, tmp_path, capsys):

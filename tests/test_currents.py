@@ -9,7 +9,7 @@ import pytest
 from conftest import box_grid, lattice_wave, random_state, random_superposition
 
 import salpeter1d as s
-from salpeter1d import currents
+from salpeter1d import currents, grids
 from salpeter1d.currents import current_kernel_value, kernel_singular
 from salpeter1d.thresholds import ORACLE_EQUIVALENCE_MAX
 
@@ -565,6 +565,93 @@ class TestPairTable:
         finally:
             tracemalloc.stop()
         assert peak <= arrays * n * np.dtype(np.complex128).itemsize + 8192, name
+
+
+def _field_set(psi):
+    """The spectral benchmark's field set: three densities, the spin-half
+    current and its continuity residual."""
+    return [
+        s.density(psi, s.BORN).values,
+        s.density(psi, s.SCALAR).values,
+        s.density(psi, s.SPIN_HALF).values,
+        s.current(psi, s.SPIN_HALF).values,
+        s.continuity_residual(psi, s.SPIN_HALF, 1e-4),
+    ]
+
+
+class TestOneSpectrumPerState:
+    """A state is transformed once and a grid's energies are evaluated once,
+    whatever fields are taken from them."""
+
+    def test_one_forward_fft_per_state(self, monkeypatch):
+        calls = []
+        fft = np.fft.fft
+
+        def counted(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return fft(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "fft", counted)
+        g = s.make_grid(-16, 16, 512)
+        psi = random_state(g, np.random.default_rng(21))
+        _field_set(psi)
+        s.current(psi, s.SCALAR)
+        assert calls == [(512,)]
+        _field_set(s.box_state(1.0, 2, g))
+        assert calls == [(512,), (512,)]
+
+    def test_energy_evaluated_once_per_grid(self, monkeypatch):
+        calls = []
+
+        def counted(p):
+            calls.append(np.shape(p))
+            return s.energy(p)
+
+        monkeypatch.setattr(grids, "energy", counted)
+        monkeypatch.setattr(currents, "energy", counted)
+        g = s.make_grid(-16, 16, 512)
+        _field_set(random_state(g, np.random.default_rng(22)))
+        _field_set(s.box_state(1.0, 2, g))
+        s.current(s.box_state(1.0, 2, g), s.SCALAR)
+        assert calls == [(512,)]
+
+    @pytest.mark.parametrize("state", ["white noise", "box"])
+    def test_reused_state_gives_the_fresh_fields(self, state):
+        g = box_grid(1.0, n_points=1024)
+        if state == "box":
+            values = s.box_state(1.0, 2, g).values
+        else:
+            values = random_state(g, np.random.default_rng(23)).values
+        fields = [
+            *(lambda psi, k=k: s.density(psi, k).values for k in ALL_FAST_KINDS),
+            *(lambda psi, k=k: s.current(psi, k).values for k in (s.SCALAR, s.SPIN_HALF)),
+            *(lambda psi, k=k: s.continuity_residual(psi, k, 1e-4) for k in ALL_FAST_KINDS),
+        ]
+        fresh = [field(s.WaveFunction(g, values)) for field in fields]
+        reused = s.WaveFunction(g, values)
+        for _ in range(2):
+            for field, want in zip(fields, fresh):
+                assert np.array_equal(field(reused), want)
+
+    def test_field_set_memory(self):
+        # a fresh state's field set keeps the state's spectrum and the grid's
+        # energy lattice, 1.5 complex N-arrays, and no evaluated symbol.  The
+        # peak, with the four output fields held (2 arrays), is 8.5 arrays;
+        # it was 8.0 with neither spectrum nor energies kept, and a kept
+        # symbol adds at least another half
+        n = 2**16
+        g = box_grid(1.0, n_points=n)
+        psi = s.box_state(1.0, 2, g)
+        g.p, g.p_fft  # the momentum lattices are built before measuring
+        array = n * np.dtype(np.complex128).itemsize
+        tracemalloc.start()
+        try:
+            _field_set(psi)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert kept <= 1.5 * array + 8192
+        assert peak <= 8.75 * array
 
 
 class TestFourCurrent:

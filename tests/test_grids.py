@@ -94,6 +94,63 @@ def test_spectral_derivative_of_sine():
     np.testing.assert_allclose(df, 3 * np.cos(3 * g.x), atol=1e-12)
 
 
+@pytest.mark.parametrize("n_points", [4, 8, 64, 1024, 4096])
+def test_real_derivative_matches_complex_path(n_points):
+    # irfft(rfft(f) i p) against the real part of ifft(fft(f) i p): the
+    # Nyquist bin's derivative is imaginary and drops out of both
+    g = s.make_grid(-2.0, 3.0, n_points)
+    rng = np.random.default_rng(n_points)
+    nyquist = (-1.0) ** np.arange(n_points)
+    noise = rng.normal(size=n_points)
+    fields = [noise, noise + nyquist, rng.uniform(0.0, 1.0, n_points)]
+    for f in fields:
+        by_complex = s.apply_symbol(s.WaveFunction(g, f), lambda p: 1j * p).values.real
+        df = s.spectral_derivative(g, f)
+        assert df.dtype == np.float64
+        peak = np.max(np.abs(by_complex))
+        assert np.max(np.abs(df - by_complex)) <= 1e-15 * peak
+    np.testing.assert_array_equal(s.spectral_derivative(g, nyquist), 0.0)
+    with_nyquist = s.spectral_derivative(g, noise + nyquist)
+    alone = s.spectral_derivative(g, noise)
+    assert np.max(np.abs(with_nyquist - alone)) <= 1e-15 * np.max(np.abs(alone))
+
+
+def test_complex_derivative_keeps_the_complex_path():
+    g = s.make_grid(-2.0, 3.0, 256)
+    rng = np.random.default_rng(5)
+    f = rng.normal(size=256) + 1j * rng.normal(size=256)
+    by_symbol = s.apply_symbol(s.WaveFunction(g, f), lambda p: 1j * p).values
+    df = s.spectral_derivative(g, f)
+    assert df.dtype == np.complex128
+    assert df.tobytes() == by_symbol.tobytes()
+
+
+@pytest.mark.parametrize("values", [np.zeros(65), np.zeros(65, complex), np.zeros((2, 64))])
+def test_derivative_rejects_wrong_shape(values):
+    g = s.make_grid(-4, 4, 64)
+    with pytest.raises(ValueError, match="shape"):
+        s.spectral_derivative(g, values)
+
+
+def test_spectrum_is_the_raw_fft_computed_once():
+    g = s.make_grid(-3.0, 5.0, 256)
+    rng = np.random.default_rng(9)
+    psi = s.WaveFunction(g, rng.normal(size=256) + 1j * rng.normal(size=256))
+    spectrum = psi.spectrum
+    assert spectrum.tobytes() == np.fft.fft(psi.values).tobytes()
+    assert psi.spectrum is spectrum
+    with pytest.raises(ValueError):
+        spectrum[0] = 0.0
+
+
+def test_energy_lattice_is_energy_in_fft_order():
+    g = s.make_grid(-3.0, 5.0, 256)
+    assert g.e_fft.tobytes() == s.energy(g.p_fft).tobytes()
+    assert g.e_fft is g.e_fft
+    with pytest.raises(ValueError):
+        g.e_fft[0] = 0.0
+
+
 def test_symbol_error_names_lattice_point():
     g = s.make_grid(-4, 4, 64)
     phi = s.MomentumSpectrum(g, np.ones(64))
