@@ -1,6 +1,15 @@
 """Command-line surface: figure data, covariance / continuity / Dirac /
-series verification reports.  CSV output (17 significant digits, atomic
-writes), optional SVG overlay.
+series verification reports.  CSV output, optional SVG overlay.
+
+Every command hands its table to one writer, :func:`_write_csv`, as columns
+``{header: column}``: ``kernel``, ``state`` and ``check`` hold text, every
+other column is numeric and is written with 17 significant digits.  The
+writer checks each numeric column for non-finite values once and refuses a
+table without rows, both before any file is made; it then formats
+``_CSV_CHUNK_ROWS`` rows at a time and streams them into one temporary file
+that is renamed over the output, so a failed write leaves no partial file
+and the writer's memory is set by the chunk, not by the table.  A grid whose
+bounds or width are not finite is rejected before any array is made.
 
 One table, ``_COMMANDS``, names each command's handler and the flags it
 reads, with their defaults; the parser, the validation and the dispatch all
@@ -16,6 +25,7 @@ import math
 import os
 import sys
 import tempfile
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -66,6 +76,9 @@ EXIT_THRESHOLD = 1
 EXIT_CONFIG = 2
 EXIT_IO = 3
 
+# rows formatted per write: bounds the writer's memory whatever the table size
+_CSV_CHUNK_ROWS = 65536
+
 
 def _build_config(args: argparse.Namespace) -> argparse.Namespace:
     """Validate each flag the command reads against the module preconditions
@@ -115,20 +128,14 @@ def _build_config(args: argparse.Namespace) -> argparse.Namespace:
     return args
 
 
-def _format_cell(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return format(float(value), ".17g")
-
-
-def _write_text_atomic(path: str, text: str) -> None:
+def _write_text_atomic(path: str, chunks: Iterable[str]) -> None:
+    """Write the chunks to a temporary file beside ``path``, then rename it
+    over ``path``; on any error the temporary file is removed."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".part")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         # mkstemp creates the file 0600; give it the mode open() would
         umask = os.umask(0)
         os.umask(umask)
@@ -140,16 +147,29 @@ def _write_text_atomic(path: str, text: str) -> None:
         raise
 
 
-def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
-    """Write the table atomically; a non-finite numeric cell raises
-    ValueError naming its column, and no file is written."""
-    lines = [",".join(header)]
-    for row in rows:
-        for name, cell in zip(header, row):
-            if not isinstance(cell, str) and not math.isfinite(cell):
-                raise ValueError(f"column {name!r} holds a non-finite value ({cell})")
-        lines.append(",".join(_format_cell(cell) for cell in row))
-    _write_text_atomic(path, "\n".join(lines) + "\n")
+def _write_csv(path: str, columns: dict) -> None:
+    """Write the table ``{header: column}`` atomically, _CSV_CHUNK_ROWS rows
+    at a time.  A column of str is written as is, any other as 17-digit
+    floats; a non-finite value raises ValueError naming its column, and so
+    does a table with no rows, before any file is made."""
+    arrays = {name: np.asarray(column) for name, column in columns.items()}
+    text = {name for name, values in arrays.items() if values.dtype.kind == "U"}
+    for name, values in arrays.items():
+        if name not in text and not np.isfinite(values).all():
+            bad = values[~np.isfinite(values)][0]
+            raise ValueError(f"column {name!r} holds a non-finite value ({bad})")
+    n_rows = len(next(iter(arrays.values())))
+    if n_rows == 0:
+        raise ValueError(f"no rows to write to {path}")
+    row = ",".join("%s" if name in text else "%.17g" for name in arrays) + "\n"
+
+    def chunks():
+        yield ",".join(arrays) + "\n"
+        for start in range(0, n_rows, _CSV_CHUNK_ROWS):
+            cells = (a[start:start + _CSV_CHUNK_ROWS].tolist() for a in arrays.values())
+            yield "".join(row % cell for cell in zip(*cells, strict=True))
+
+    _write_text_atomic(path, chunks())
 
 
 def _svg_path(csv_path: str) -> str:
@@ -188,14 +208,9 @@ def _emit_figure(cfg: argparse.Namespace, columns: dict[str, np.ndarray], grid: 
         name: _normalize_column(v[window], cfg.normalization, grid.dx)
         for name, v in columns.items()
     }
-    header = ["x"] + list(cols)
-    rows = [[xw[i]] + [c[i] for c in cols.values()] for i in range(xw.size)]
-    _write_csv(cfg.out, header, rows)
+    _write_csv(cfg.out, {"x": xw, **cols})
     if cfg.svg:
-        _write_text_atomic(
-            _svg_path(cfg.out),
-            line_plot_svg(xw, cols, title=cfg.command),
-        )
+        _write_text_atomic(_svg_path(cfg.out), [line_plot_svg(xw, cols, title=cfg.command)])
 
 
 def _density_columns(psi: WaveFunction, kinds: dict[str, KernelKind]) -> dict:
@@ -225,27 +240,31 @@ def _run_figure2(cfg: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _covariance_rows(kind: KernelKind, p_i, p_j, v) -> list[list]:
-    """One CSV row per (p_i, p_j, v) tuple: the constraint and four-vector
-    residuals of unit-amplitude plane waves at p_i and p_j under boost v."""
+_COVARIANCE_HEADER = (
+    "kernel", "p_i", "p_j", "v", "eq_constraint_residual", "fourvector_residual",
+)
+
+
+def _covariance_columns(kind: KernelKind, p_i, p_j, v) -> dict:
+    """The table's columns for the (p_i, p_j, v) tuples: the constraint and
+    four-vector residuals of unit-amplitude plane waves at p_i and p_j under
+    boost v."""
     _, _, constraint = constraint_residuals(kind, p_i, p_j, v)
     waves = np.stack([p_i, p_j], axis=1)
     fourvec = fourvector_residuals(kind, waves, np.ones(waves.shape, complex), v)
-    return [
-        [str(kind), *cells]
-        for cells in zip(
-            p_i.tolist(), p_j.tolist(), v.tolist(), constraint.tolist(), fourvec.tolist()
-        )
-    ]
+    cells = (np.full(p_i.size, str(kind)), p_i, p_j, v, constraint, fourvec)
+    return dict(zip(_COVARIANCE_HEADER, cells))
 
 
-def _witness_row(p_i: float, p_j: float, v: float) -> list:
-    """The Born row of one (p_i, p_j, v) tuple, through the per-item checks."""
+def _witness_columns(p_i: float, p_j: float, v: float) -> dict:
+    """The Born columns of one (p_i, p_j, v) tuple, one row long, through the
+    per-item checks."""
     boost = Boost(v)
     report = constraint_report(BORN, p_i, p_j, boost)
     waves = PlaneWaveSuperposition([1.0, 1.0], [p_i, p_j])
     fourvec = covariance_residual(waves, BORN, boost)
-    return [str(BORN), p_i, p_j, v, report.residual, fourvec]
+    cells = (str(BORN), p_i, p_j, v, report.residual, fourvec)
+    return {name: [cell] for name, cell in zip(_COVARIANCE_HEADER, cells)}
 
 
 def _run_covariance(cfg: argparse.Namespace) -> int:
@@ -265,46 +284,42 @@ def _run_covariance(cfg: argparse.Namespace) -> int:
     )
     distinct = np.abs(p_i - p_j) > MOMENTUM_DISTINCT_TOL
     p_i, p_j, v = p_i[distinct], p_j[distinct], v[distinct]
-    rows = []
+    tables = []
     skipped = 0
     for kind in kernels:
         regular = ~singular_tuples(kind, p_i, p_j, v)
         skipped += int(np.count_nonzero(~regular))
-        rows += _covariance_rows(kind, p_i[regular], p_j[regular], v[regular])
-    witness_checked = False
-    witness_ok = True
-    if any(k.name == "born" for k in kernels):
-        row = _witness_row(*bounds.BORN_WITNESS)
-        rows.append(row)
-        witness_checked = True
-        witness_ok = (
-            row[4] > bounds.BORN_WITNESS_MIN and row[5] > bounds.BORN_WITNESS_MIN
+        tables.append(_covariance_columns(kind, p_i[regular], p_j[regular], v[regular]))
+    witness_checked = BORN in kernels
+    if witness_checked:
+        witness = _witness_columns(*bounds.BORN_WITNESS)
+        tables.append(witness)
+        witness_ok = all(
+            witness[name][0] > bounds.BORN_WITNESS_MIN
+            for name in ("eq_constraint_residual", "fourvector_residual")
         )
-    _write_csv(
-        cfg.out,
-        ["kernel", "p_i", "p_j", "v", "eq_constraint_residual", "fourvector_residual"],
-        rows,
-    )
+    columns = {name: np.concatenate([t[name] for t in tables]) for name in _COVARIANCE_HEADER}
+    _write_csv(cfg.out, columns)
     if skipped:
         print(f"covariance: skipped {skipped} singular kernel pairs", file=sys.stderr)
 
-    violations = []
-    for row in rows:
-        name = row[0]
-        if name in ("scalar", "spinhalf"):
-            if row[4] > bounds.CONSTRAINT_RESIDUAL_MAX or row[5] > bounds.FOURVECTOR_RESIDUAL_MAX:
-                violations.append(row)
+    constraint, fourvec = columns["eq_constraint_residual"], columns["fourvector_residual"]
+    over = (constraint > bounds.CONSTRAINT_RESIDUAL_MAX) | (
+        fourvec > bounds.FOURVECTOR_RESIDUAL_MAX
+    )
+    violations = 0
     for name in ("scalar", "spinhalf"):
-        sub = [r for r in rows if r[0] == name]
-        if sub:
-            worst = max(max(r[4], r[5]) for r in sub)
+        mine = columns["kernel"] == name
+        if mine.any():
+            violations += int(np.count_nonzero(over & mine))
+            worst = max(constraint[mine].max(), fourvec[mine].max())
             print(f"covariance: {name} worst residual {worst:.3e}")
     if witness_checked:
         print(f"covariance: born witness {'reproduced' if witness_ok else 'MISSING'}")
-    print(f"covariance: wrote {cfg.out} ({len(rows)} rows)")
+    print(f"covariance: wrote {cfg.out} ({len(columns['kernel'])} rows)")
     if violations:
         print(
-            f"covariance: {len(violations)} rows exceed "
+            f"covariance: {violations} rows exceed "
             f"{bounds.FOURVECTOR_RESIDUAL_MAX:.0e}",
             file=sys.stderr,
         )
@@ -335,27 +350,25 @@ def _run_continuity(cfg: argparse.Namespace) -> int:
     psi = sample_on_grid(waves, grid)
     kernels = [cfg.kernel] if cfg.kernel is not None else [BORN, SCALAR, SPIN_HALF]
     dt = bounds.CONTINUITY_BASE_DT
-    rows = []
-    ok = True
     lo, hi = bounds.CONTINUITY_RATIO_RANGE
-    for kind in kernels:
-        coarse = continuity_residual(psi, kind, dt)
-        fine = continuity_residual(psi, kind, dt / 2.0)
-        ratio = coarse / fine if fine > 0 else float("inf")
-        rows.append([str(kind), dt, coarse, fine, ratio])
-        good = lo <= ratio <= hi
-        ok = ok and good
+    coarse = [continuity_residual(psi, kind, dt) for kind in kernels]
+    fine = [continuity_residual(psi, kind, dt / 2.0) for kind in kernels]
+    ratio = [c / f if f > 0 else math.inf for c, f in zip(coarse, fine)]
+    good = [lo <= r <= hi for r in ratio]
+    for kind, c, f, r, g in zip(kernels, coarse, fine, ratio, good):
         print(
-            f"continuity: {kind} residual {coarse:.3e} -> {fine:.3e} "
-            f"ratio {ratio:.2f} [{'ok' if good else 'FAIL'}]"
+            f"continuity: {kind} residual {c:.3e} -> {f:.3e} "
+            f"ratio {r:.2f} [{'ok' if g else 'FAIL'}]"
         )
-    _write_csv(
-        cfg.out,
-        ["kernel", "dt", "residual_dt", "residual_half_dt", "ratio"],
-        rows,
-    )
+    _write_csv(cfg.out, {
+        "kernel": [str(kind) for kind in kernels],
+        "dt": [dt] * len(kernels),
+        "residual_dt": coarse,
+        "residual_half_dt": fine,
+        "ratio": ratio,
+    })
     print(f"continuity: wrote {cfg.out}")
-    return EXIT_OK if ok else EXIT_THRESHOLD
+    return EXIT_OK if all(good) else EXIT_THRESHOLD
 
 
 def _run_dirac_check(cfg: argparse.Namespace) -> int:
@@ -371,11 +384,11 @@ def _run_dirac_check(cfg: argparse.Namespace) -> int:
     psi_box = box_state(cfg.box_width, cfg.state_n, box_grid)
     cur_b, evo_b = equivalence_residuals(psi_box, t=0.7)
 
-    rows = [
-        ["superposition", cur_w, evo_w],
-        ["box", cur_b, evo_b],
-    ]
-    _write_csv(cfg.out, ["state", "current_residual", "evolution_residual"], rows)
+    _write_csv(cfg.out, {
+        "state": ["superposition", "box"],
+        "current_residual": [cur_w, cur_b],
+        "evolution_residual": [evo_w, evo_b],
+    })
     ok_w = max(cur_w, evo_w) < bounds.DIRAC_SUPERPOSITION_MAX
     ok_b = max(cur_b, evo_b) < bounds.DIRAC_BOX_MAX
     print(
@@ -413,11 +426,10 @@ def _run_series_check(cfg: argparse.Namespace) -> int:
     except BandLimitError:
         detector_fired = True
 
-    rows = [
-        ["series_gap", gap],
-        ["divergence_detector_fired", int(detector_fired)],
-    ]
-    _write_csv(cfg.out, ["check", "value"], rows)
+    _write_csv(cfg.out, {
+        "check": ["series_gap", "divergence_detector_fired"],
+        "value": [gap, int(detector_fired)],
+    })
     ok = gap < bounds.SERIES_GAP_MAX and detector_fired
     print(
         f"series-check: gap {gap:.3e} at k_max={bounds.SERIES_K_MAX}, "

@@ -70,6 +70,10 @@ class Grid1D:
             raise ValueError(
                 f"degenerate interval: x_max={self.x_max} must exceed x_min={self.x_min}"
             )
+        if not np.isfinite(self.x_max - self.x_min):
+            raise ValueError(
+                f"interval [{self.x_min}, {self.x_max}] must have finite bounds and width"
+            )
 
     @property
     def dx(self) -> float:

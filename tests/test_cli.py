@@ -2,6 +2,7 @@ import argparse
 import os
 import re
 import stat
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -175,10 +176,13 @@ class TestCovarianceCommand:
     def test_witness_row_equals_batched_row(self):
         # the witness goes through constraint_report and covariance_residual,
         # the sweep through the batched cores; both give the same cells
-        witness = [np.array([c]) for c in thresholds.BORN_WITNESS]
-        assert cli._witness_row(*thresholds.BORN_WITNESS) == cli._covariance_rows(
-            s.BORN, *witness
-        )[0]
+        witness = cli._witness_columns(*thresholds.BORN_WITNESS)
+        batched = cli._covariance_columns(
+            s.BORN, *(np.array([c]) for c in thresholds.BORN_WITNESS)
+        )
+        assert list(witness) == list(batched)
+        for name, cells in witness.items():
+            assert cells == batched[name].tolist(), name
 
     def test_high_velocity_sweep_passes(self, tmp_path, capsys):
         # the light-cone pair factor keeps every scalar and spin-half row
@@ -218,6 +222,17 @@ class TestReportCommands:
         for r in rows:
             assert 3.5 <= float(r[4]) <= 4.5
 
+    def test_continuity_ratios_follow_the_dt2_law(self, tmp_path):
+        # rho(t + dt) - rho(t - dt) is formed without cancellation, so each
+        # kernel's ratio is 4 to 1e-3 (3.974-3.983 when the two evolved
+        # densities were subtracted)
+        out = tmp_path / "cont.csv"
+        assert main(["continuity", "--out", str(out)]) == 0
+        _, rows = _read_csv(out)
+        assert [r[0] for r in rows] == ["born", "scalar", "spinhalf"]
+        for r in rows:
+            assert abs(float(r[4]) - 4.0) <= 1e-3, r
+
     def test_dirac_check(self, tmp_path):
         out = tmp_path / "dirac.csv"
         assert main(["dirac-check", "--out", str(out)]) == 0
@@ -238,6 +253,7 @@ class TestReportCommands:
 
 
 class TestConfigAndIOErrors:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize(
         "argv",
         [
@@ -261,6 +277,13 @@ class TestConfigAndIOErrors:
             # the continuity state's momentum 10 dp ~ 1.96 against the same
             # fraction of p_nyquist = pi N / 32
             *(["continuity", "--grid-points", n] for n in ("4", "8", "16", "32")),
+            # grids whose bounds (pad * L / 2 overflows) or width are not
+            # finite: rejected by Grid1D before any array is made
+            ["figure1", "--box-width", "1e308"],
+            ["figure2", "--box-width", "1e308"],
+            ["dirac-check", "--box-width", "1e308"],
+            ["figure1", "--box-width", "1e306", "--pad-factor", "1e3"],
+            ["figure1", "--box-width", "5e307"],
         ],
     )
     def test_invalid_config_exits_2(self, argv, tmp_path, capsys):
@@ -268,7 +291,7 @@ class TestConfigAndIOErrors:
         code = main(argv + ["--out", str(out)])
         assert code == 2
         assert "invalid config" in capsys.readouterr().err
-        assert not out.exists()
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("command", ["figure1", "figure2"])
@@ -349,6 +372,12 @@ class TestConfigAndIOErrors:
         assert f"error (invalid config): column {column!r} holds a non-finite value" in err
         assert list(tmp_path.iterdir()) == []
 
+    def test_table_without_rows_is_refused(self, tmp_path):
+        out = tmp_path / "x.csv"
+        with pytest.raises(ValueError, match="no rows"):
+            cli._write_csv(str(out), {"kernel": [], "value": np.array([])})
+        assert list(tmp_path.iterdir()) == []
+
     def test_unknown_normalization_rejected_by_parser(self, tmp_path):
         with pytest.raises(SystemExit) as info:
             main(["figure1", "--normalization", "banana",
@@ -376,6 +405,31 @@ class TestConfigAndIOErrors:
             os.umask(previous)
         for path in (out, tmp_path / "fig1.svg"):
             assert stat.S_IMODE(os.stat(path).st_mode) == 0o644
+
+
+class TestCsvWriter:
+    def test_memory_is_set_by_the_chunk_not_the_table(self, tmp_path):
+        # four chunks of rows: the writer formats one at a time, at about
+        # 80 bytes a cell; a writer holding the whole table takes 4x that
+        n = 4 * cli._CSV_CHUNK_ROWS
+        rng = np.random.default_rng(3)
+        columns = {
+            "kernel": np.full(n, "spinhalf"),
+            "p": rng.normal(size=n),
+            "r": rng.uniform(size=n) * 1e-12,
+        }
+        out = tmp_path / "t.csv"
+        tracemalloc.start()
+        try:
+            cli._write_csv(str(out), columns)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 128 * len(columns) * cli._CSV_CHUNK_ROWS
+        # the chunks join into the row-by-row text
+        rows = zip(*(c.tolist() for c in columns.values()))
+        want = "kernel,p,r\n" + "".join("%s,%.17g,%.17g\n" % row for row in rows)
+        assert out.read_text() == want
 
 
 # the flags each command reads, besides --out

@@ -782,6 +782,19 @@ class TestContinuity:
             fine = s.continuity_residual(psi, kind, 5e-5)
             assert 3.5 <= coarse / fine <= 4.5
 
+    @pytest.mark.parametrize("kind", ALL_FAST_KINDS, ids=str)
+    def test_split_phase_is_the_evolved_density_difference(self, kind):
+        # 4 sum_A Im(conj(U) V) is rho(t + dt) - rho(t - dt) exactly; at
+        # dt = 0.1 the two evolved densities differ by O(1), so subtracting
+        # them is a roundoff-level reference
+        g = s.make_grid(-16, 16, 256)
+        psi = random_state(g, np.random.default_rng(7))
+        dt = 0.1
+        plus, minus = (s.density(s.evolve_free(psi, t), kind).values for t in (dt, -dt))
+        j = s.current(psi, kind).values
+        want = np.max(np.abs((plus - minus) / (2 * dt) + s.spectral_derivative(g, j)))
+        assert abs(s.continuity_residual(psi, kind, dt) - want) <= 1e-13 * want
+
     def test_evolved_box_state_spinhalf(self):
         g = box_grid(1.0, n_points=4096)
         psi = s.box_state(1.0, 2, g)

@@ -22,6 +22,10 @@ def test_make_grid_rejects_bad_input():
         s.make_grid(0, 1, 12)
     with pytest.raises(ValueError, match="power of two"):
         s.make_grid(0, 1, 2)
+    # infinite bounds, and finite bounds whose width overflows
+    for bounds in ((-np.inf, 0.0), (0.0, np.inf), (-np.inf, np.inf), (-1e308, 1e308)):
+        with pytest.raises(ValueError, match="finite bounds and width"):
+            s.make_grid(*bounds, 8)
 
 
 def test_round_trip_is_identity():
