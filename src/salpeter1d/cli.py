@@ -1,23 +1,33 @@
 """Command-line surface: figure data, covariance / continuity / Dirac /
 series verification reports.  CSV output, optional SVG overlay.
 
-Every command hands its table to one writer, :func:`_write_csv`, as columns
-``{header: column}``: ``kernel``, ``state`` and ``check`` hold text, every
-other column is numeric and is written with 17 significant digits.  The
-writer checks each numeric column for non-finite values once and refuses a
-table without rows, both before any file is made; it then formats
-``_CSV_CHUNK_ROWS`` rows at a time and streams them into one temporary file
-that is renamed over the output, so a failed write leaves no partial file
-and the writer's memory is set by the chunk, not by the table.  A grid whose
-bounds or width are not finite is rejected before any array is made.
+Each command's handler is a function of the validated configuration that
+returns a :class:`Report`: its table as columns ``{header: column}``, its
+stdout and stderr lines, and its :class:`Check` verdicts, each a measured
+value beside the bound from :mod:`.thresholds` it was held to.  Handlers
+write and print nothing.  :func:`main` alone validates the flags, runs the
+handler, writes the CSV (and, under ``--svg``, a plot of the same columns,
+``x`` first), prints the report's stderr and then its stdout lines, prints
+one stderr line per failed check naming its value and bound, and picks the
+exit code.  A failed check still leaves its table written.
+
+One writer, :func:`_write_csv`, takes every table: ``kernel``, ``state`` and
+``check`` hold text, every other column is numeric and is written with 17
+significant digits.  It checks each numeric column for non-finite values
+once and refuses a table without rows, both before any file is made; it
+then formats ``_CSV_CHUNK_ROWS`` rows at a time and streams them into one
+temporary file that is renamed over the output, so a failed write leaves no
+partial file and the writer's memory is set by the chunk, not by the table.
+A grid whose bounds or width are not finite is rejected before any array is
+made.
 
 One table, ``_COMMANDS``, names each command's handler and the flags it
 reads, with their defaults; the parser, the validation and the dispatch all
 follow it.  A command accepts ``--out`` and only the flags in its row; any
 other flag is a usage error.
 
-Exit codes: 0 success, 1 threshold violation, 2 invalid configuration
-(argparse usage errors included), 3 I/O failure.
+Exit codes: 0 success, 1 a failed check, 2 invalid configuration (argparse
+usage errors and non-finite table cells included), 3 I/O failure.
 """
 
 import argparse
@@ -25,7 +35,8 @@ import math
 import os
 import sys
 import tempfile
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -63,7 +74,6 @@ from .lorentz import (
 )
 from .plotting import line_plot_svg
 from .states import (
-    MOMENTUM_DISTINCT_TOL,
     PlaneWaveSuperposition,
     box_state,
     gaussian_state,
@@ -78,6 +88,25 @@ EXIT_IO = 3
 
 # rows formatted per write: bounds the writer's memory whatever the table size
 _CSV_CHUNK_ROWS = 65536
+
+
+class Check(NamedTuple):
+    """One verdict: the measured value, the bound it was held to, and
+    whether it held."""
+
+    name: str
+    measured: float
+    bound: float | tuple[float, float]
+    passed: bool
+
+
+class Report(NamedTuple):
+    """What a command found: its table, its output lines and its checks."""
+
+    columns: dict
+    stdout: Sequence[str]
+    stderr: Sequence[str] = ()
+    checks: Sequence[Check] = ()
 
 
 def _build_config(args: argparse.Namespace) -> argparse.Namespace:
@@ -95,8 +124,10 @@ def _build_config(args: argparse.Namespace) -> argparse.Namespace:
                 "--grid-points must be a power of two from 4 to "
                 f"{bounds.GRID_POINTS_MAX}, got {n}"
             )
-    if "pad_factor" in given and not 4.0 <= args.pad_factor < math.inf:
-        raise ValueError(f"--pad-factor must be finite and >= 4, got {args.pad_factor}")
+    if "pad_factor" in given and not bounds.MIN_PAD_FACTOR <= args.pad_factor < math.inf:
+        raise ValueError(
+            f"--pad-factor must be finite and >= {bounds.MIN_PAD_FACTOR:g}, got {args.pad_factor}"
+        )
     if "state_n" in given:
         # the mode's momentum n pi / L over the grid's Nyquist momentum pi / dx
         # is n dx / L = n pad / N, whatever the box width
@@ -172,11 +203,6 @@ def _write_csv(path: str, columns: dict) -> None:
     _write_text_atomic(path, chunks())
 
 
-def _svg_path(csv_path: str) -> str:
-    root, _ = os.path.splitext(csv_path)
-    return root + ".svg"
-
-
 def _box_grid(box_width: float, n_points: int, pad_factor: float) -> Grid1D:
     half = 0.5 * pad_factor * box_width
     center = 0.5 * box_width
@@ -200,44 +226,30 @@ def _normalize_column(values: np.ndarray, how: str, dx: float) -> np.ndarray:
     return values / scale
 
 
-def _emit_figure(cfg: argparse.Namespace, columns: dict[str, np.ndarray], grid: Grid1D) -> None:
-    x = grid.x
+def _figure(cfg: argparse.Namespace, psi: WaveFunction, kinds: dict[str, KernelKind]) -> Report:
+    """Each kernel's density of psi over [-L/2, 3L/2], normalized."""
+    x, dx = psi.grid.x, psi.grid.dx
     window = (x >= -0.5 * cfg.box_width) & (x <= 1.5 * cfg.box_width)
-    xw = x[window]
-    cols = {
-        name: _normalize_column(v[window], cfg.normalization, grid.dx)
-        for name, v in columns.items()
-    }
-    _write_csv(cfg.out, {"x": xw, **cols})
-    if cfg.svg:
-        _write_text_atomic(_svg_path(cfg.out), [line_plot_svg(xw, cols, title=cfg.command)])
-
-
-def _density_columns(psi: WaveFunction, kinds: dict[str, KernelKind]) -> dict:
     # a box the numerics cannot resolve overflows into non-finite cells;
     # _normalize_column turns those into the one invalid-config error
     with np.errstate(over="ignore", invalid="ignore"):
-        return {name: density(psi, kind).values for name, kind in kinds.items()}
+        columns = {
+            name: _normalize_column(density(psi, kind).values[window], cfg.normalization, dx)
+            for name, kind in kinds.items()
+        }
+    return Report({"x": x[window], **columns}, [f"{cfg.command}: wrote {cfg.out}"])
 
 
-def _run_figure1(cfg: argparse.Namespace) -> int:
+def _run_figure1(cfg: argparse.Namespace) -> Report:
     grid = _box_grid(cfg.box_width, cfg.grid_points, cfg.pad_factor)
     psi = box_state(cfg.box_width, cfg.state_n, grid)
-    columns = _density_columns(psi, {"rho_born": BORN, "rho_scalar": SCALAR})
-    _emit_figure(cfg, columns, grid)
-    print(f"figure1: wrote {cfg.out}")
-    return EXIT_OK
+    return _figure(cfg, psi, {"rho_born": BORN, "rho_scalar": SCALAR})
 
 
-def _run_figure2(cfg: argparse.Namespace) -> int:
+def _run_figure2(cfg: argparse.Namespace) -> Report:
     grid = _box_grid(cfg.box_width, cfg.grid_points, cfg.pad_factor)
     psi = superposed_box_state(cfg.box_width, grid)
-    columns = _density_columns(
-        psi, {"rho_born": BORN, "rho_scalar": SCALAR, "rho_half": SPIN_HALF}
-    )
-    _emit_figure(cfg, columns, grid)
-    print(f"figure2: wrote {cfg.out}")
-    return EXIT_OK
+    return _figure(cfg, psi, {"rho_born": BORN, "rho_scalar": SCALAR, "rho_half": SPIN_HALF})
 
 
 _COVARIANCE_HEADER = (
@@ -267,71 +279,51 @@ def _witness_columns(p_i: float, p_j: float, v: float) -> dict:
     return {name: [cell] for name, cell in zip(_COVARIANCE_HEADER, cells)}
 
 
-def _run_covariance(cfg: argparse.Namespace) -> int:
+def _run_covariance(cfg: argparse.Namespace) -> Report:
     kernels = [cfg.kernel] if cfg.kernel is not None else [BORN, SCALAR, SPIN_HALF]
-    velocities = (
-        [cfg.velocity]
-        if cfg.velocity is not None
-        else np.linspace(-0.9, 0.9, 5)
-    )
+    velocities = [cfg.velocity] if cfg.velocity is not None else np.linspace(-0.9, 0.9, 5)
     # the positive half mirrors the negative one, so the opposite pairs
     # p_i = -p_j are exact and the literal kernels' singular rule finds them
     half = np.linspace(-2.0, 2.0, 20)[:10]
     momenta = np.concatenate([half, -half[::-1]])
-    p_i, p_j, v = (
-        grid.ravel()
-        for grid in np.meshgrid(momenta, momenta, velocities, indexing="ij")
-    )
-    distinct = np.abs(p_i - p_j) > MOMENTUM_DISTINCT_TOL
+    tuples = np.meshgrid(momenta, momenta, velocities, indexing="ij")
+    p_i, p_j, v = (grid.ravel() for grid in tuples)
+    distinct = np.abs(p_i - p_j) > bounds.MOMENTUM_DISTINCT_TOL
     p_i, p_j, v = p_i[distinct], p_j[distinct], v[distinct]
-    tables = []
-    skipped = 0
+    tables, skipped = [], 0
     for kind in kernels:
         regular = ~singular_tuples(kind, p_i, p_j, v)
         skipped += int(np.count_nonzero(~regular))
         tables.append(_covariance_columns(kind, p_i[regular], p_j[regular], v[regular]))
-    witness_checked = BORN in kernels
-    if witness_checked:
-        witness = _witness_columns(*bounds.BORN_WITNESS)
-        tables.append(witness)
-        witness_ok = all(
-            witness[name][0] > bounds.BORN_WITNESS_MIN
-            for name in ("eq_constraint_residual", "fourvector_residual")
-        )
+    if BORN in kernels:
+        tables.append(_witness_columns(*bounds.BORN_WITNESS))
     columns = {name: np.concatenate([t[name] for t in tables]) for name in _COVARIANCE_HEADER}
-    _write_csv(cfg.out, columns)
-    if skipped:
-        print(f"covariance: skipped {skipped} singular kernel pairs", file=sys.stderr)
 
-    constraint, fourvec = columns["eq_constraint_residual"], columns["fourvector_residual"]
-    over = (constraint > bounds.CONSTRAINT_RESIDUAL_MAX) | (
-        fourvec > bounds.FOURVECTOR_RESIDUAL_MAX
-    )
-    violations = 0
+    # each residual column of each gated kernel, held to its own bound
+    gates = {
+        "eq_constraint_residual": bounds.CONSTRAINT_RESIDUAL_MAX,
+        "fourvector_residual": bounds.FOURVECTOR_RESIDUAL_MAX,
+    }
+    stdout, checks = [], []
     for name in ("scalar", "spinhalf"):
         mine = columns["kernel"] == name
         if mine.any():
-            violations += int(np.count_nonzero(over & mine))
-            worst = max(constraint[mine].max(), fourvec[mine].max())
-            print(f"covariance: {name} worst residual {worst:.3e}")
-    if witness_checked:
-        print(f"covariance: born witness {'reproduced' if witness_ok else 'MISSING'}")
-    print(f"covariance: wrote {cfg.out} ({len(columns['kernel'])} rows)")
-    if violations:
-        print(
-            f"covariance: {violations} rows exceed "
-            f"{bounds.FOURVECTOR_RESIDUAL_MAX:.0e}",
-            file=sys.stderr,
-        )
-        return EXIT_THRESHOLD
-    if witness_checked and not witness_ok:
-        print(
-            "covariance: Born witness residual failed to exceed "
-            f"{bounds.BORN_WITNESS_MIN:.0e}",
-            file=sys.stderr,
-        )
-        return EXIT_THRESHOLD
-    return EXIT_OK
+            worst = {column: columns[column][mine].max() for column in gates}
+            checks += [
+                Check(f"{name} worst {c}", w, gates[c], w <= gates[c]) for c, w in worst.items()
+            ]
+            stdout.append(f"covariance: {name} worst residual {max(worst.values()):.3e}")
+    if BORN in kernels:
+        # the Born current must fail: both witness cells stay above the floor
+        floor = bounds.BORN_WITNESS_MIN
+        cells = {column: tables[-1][column][0] for column in gates}
+        witness = [Check(f"born witness {c}", w, floor, w > floor) for c, w in cells.items()]
+        reproduced = all(c.passed for c in witness)
+        stdout.append(f"covariance: born witness {'reproduced' if reproduced else 'MISSING'}")
+        checks += witness
+    stdout.append(f"covariance: wrote {cfg.out} ({len(columns['kernel'])} rows)")
+    stderr = [f"covariance: skipped {skipped} singular kernel pairs"] if skipped else []
+    return Report(columns, stdout, stderr, checks)
 
 
 def _continuity_grid(n_points: int) -> Grid1D:
@@ -344,63 +336,57 @@ def _continuity_momenta(dp: float) -> tuple[float, float]:
     return dp * max(1, round(0.2 / dp)), dp * max(2, round(1.96 / dp))
 
 
-def _run_continuity(cfg: argparse.Namespace) -> int:
+def _run_continuity(cfg: argparse.Namespace) -> Report:
     grid = _continuity_grid(cfg.grid_points)
     waves = PlaneWaveSuperposition([1.0, 0.7], _continuity_momenta(grid.dp))
     psi = sample_on_grid(waves, grid)
     kernels = [cfg.kernel] if cfg.kernel is not None else [BORN, SCALAR, SPIN_HALF]
     dt = bounds.CONTINUITY_BASE_DT
-    lo, hi = bounds.CONTINUITY_RATIO_RANGE
+    lo, hi = span = bounds.CONTINUITY_RATIO_RANGE
     coarse = [continuity_residual(psi, kind, dt) for kind in kernels]
     fine = [continuity_residual(psi, kind, dt / 2.0) for kind in kernels]
     ratio = [c / f if f > 0 else math.inf for c, f in zip(coarse, fine)]
-    good = [lo <= r <= hi for r in ratio]
-    for kind, c, f, r, g in zip(kernels, coarse, fine, ratio, good):
-        print(
-            f"continuity: {kind} residual {c:.3e} -> {f:.3e} "
-            f"ratio {r:.2f} [{'ok' if g else 'FAIL'}]"
-        )
-    _write_csv(cfg.out, {
+    checks = [Check(f"{kind} ratio", r, span, lo <= r <= hi) for kind, r in zip(kernels, ratio)]
+    stdout = [
+        f"continuity: {kind} residual {c:.3e} -> {f:.3e} "
+        f"ratio {check.measured:.2f} [{'ok' if check.passed else 'FAIL'}]"
+        for kind, c, f, check in zip(kernels, coarse, fine, checks)
+    ]
+    columns = {
         "kernel": [str(kind) for kind in kernels],
         "dt": [dt] * len(kernels),
         "residual_dt": coarse,
         "residual_half_dt": fine,
         "ratio": ratio,
-    })
-    print(f"continuity: wrote {cfg.out}")
-    return EXIT_OK if all(good) else EXIT_THRESHOLD
+    }
+    return Report(columns, stdout + [f"continuity: wrote {cfg.out}"], checks=checks)
 
 
-def _run_dirac_check(cfg: argparse.Namespace) -> int:
+def _run_dirac_check(cfg: argparse.Namespace) -> Report:
     rng = np.random.default_rng(20240817)
     grid = make_grid(-16.0, 16.0, 1024)
     ks = rng.choice(np.arange(-40, 41), size=8, replace=False)
-    momenta = grid.dp * ks
     amplitudes = rng.normal(size=8) + 1j * rng.normal(size=8)
-    psi_waves = sample_on_grid(PlaneWaveSuperposition(amplitudes, momenta), grid)
-    cur_w, evo_w = equivalence_residuals(psi_waves, t=0.7)
-
+    waves = PlaneWaveSuperposition(amplitudes, grid.dp * ks)
     box_grid = _box_grid(cfg.box_width, cfg.grid_points, cfg.pad_factor)
-    psi_box = box_state(cfg.box_width, cfg.state_n, box_grid)
-    cur_b, evo_b = equivalence_residuals(psi_box, t=0.7)
-
-    _write_csv(cfg.out, {
-        "state": ["superposition", "box"],
-        "current_residual": [cur_w, cur_b],
-        "evolution_residual": [evo_w, evo_b],
-    })
-    ok_w = max(cur_w, evo_w) < bounds.DIRAC_SUPERPOSITION_MAX
-    ok_b = max(cur_b, evo_b) < bounds.DIRAC_BOX_MAX
-    print(
-        f"dirac-check: superposition residuals ({cur_w:.3e}, {evo_w:.3e}) "
-        f"[{'ok' if ok_w else 'FAIL'}]"
-    )
-    print(
-        f"dirac-check: box residuals ({cur_b:.3e}, {evo_b:.3e}) "
-        f"[{'ok' if ok_b else 'FAIL'}]"
-    )
-    print(f"dirac-check: wrote {cfg.out}")
-    return EXIT_OK if (ok_w and ok_b) else EXIT_THRESHOLD
+    # exact on superpositions, sampling-limited on the box state
+    states = {
+        "superposition": (sample_on_grid(waves, grid), bounds.DIRAC_SUPERPOSITION_MAX),
+        "box": (box_state(cfg.box_width, cfg.state_n, box_grid), bounds.DIRAC_BOX_MAX),
+    }
+    columns = {"state": [], "current_residual": [], "evolution_residual": []}
+    stdout, checks = [], []
+    for state, (psi, bound) in states.items():
+        cur, evo = equivalence_residuals(psi, t=0.7)
+        check = Check(f"{state} residual", max(cur, evo), bound, max(cur, evo) < bound)
+        for column, cell in zip(columns, (state, cur, evo)):
+            columns[column].append(cell)
+        stdout.append(
+            f"dirac-check: {state} residuals ({cur:.3e}, {evo:.3e}) "
+            f"[{'ok' if check.passed else 'FAIL'}]"
+        )
+        checks.append(check)
+    return Report(columns, stdout + [f"dirac-check: wrote {cfg.out}"], checks=checks)
 
 
 def band_limited_state(grid: Grid1D, band: float) -> WaveFunction:
@@ -412,7 +398,7 @@ def band_limited_state(grid: Grid1D, band: float) -> WaveFunction:
     return WaveFunction(grid, psi.values / psi.norm())
 
 
-def _run_series_check(cfg: argparse.Namespace) -> int:
+def _run_series_check(cfg: argparse.Namespace) -> Report:
     grid = make_grid(-80.0, 80.0, cfg.grid_points)
     psi = band_limited_state(grid, bounds.SERIES_BAND)
     exact = apply_hamiltonian(psi)
@@ -426,18 +412,19 @@ def _run_series_check(cfg: argparse.Namespace) -> int:
     except BandLimitError:
         detector_fired = True
 
-    _write_csv(cfg.out, {
-        "check": ["series_gap", "divergence_detector_fired"],
-        "value": [gap, int(detector_fired)],
-    })
-    ok = gap < bounds.SERIES_GAP_MAX and detector_fired
-    print(
+    # the detector must fire on the broad packet: its flag is held to 1
+    checks = [
+        Check("series_gap", gap, bounds.SERIES_GAP_MAX, gap < bounds.SERIES_GAP_MAX),
+        Check("divergence_detector_fired", int(detector_fired), 1, detector_fired),
+    ]
+    columns = {"check": [c.name for c in checks], "value": [c.measured for c in checks]}
+    ok = all(c.passed for c in checks)
+    stdout = [
         f"series-check: gap {gap:.3e} at k_max={bounds.SERIES_K_MAX}, "
-        f"detector {'fired' if detector_fired else 'SILENT'} "
-        f"[{'ok' if ok else 'FAIL'}]"
-    )
-    print(f"series-check: wrote {cfg.out}")
-    return EXIT_OK if ok else EXIT_THRESHOLD
+        f"detector {'fired' if detector_fired else 'SILENT'} [{'ok' if ok else 'FAIL'}]",
+        f"series-check: wrote {cfg.out}",
+    ]
+    return Report(columns, stdout, checks=checks)
 
 
 _FLAGS = {
@@ -502,13 +489,28 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     run, _ = _COMMANDS[args.command]
     try:
-        return run(_build_config(args))
+        cfg = _build_config(args)
+        report = run(cfg)
+        _write_csv(cfg.out, report.columns)
+        if vars(cfg).get("svg"):
+            (_, x), *series = report.columns.items()
+            svg = line_plot_svg(x, dict(series), title=cfg.command)
+            _write_text_atomic(os.path.splitext(cfg.out)[0] + ".svg", [svg])
     except OSError as exc:
         print(f"error (I/O): {exc}", file=sys.stderr)
         return EXIT_IO
     except ValueError as exc:
         print(f"error (invalid config): {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    for line in report.stderr:
+        print(line, file=sys.stderr)
+    for line in report.stdout:
+        print(line)
+    failed = [c for c in report.checks if not c.passed]
+    for c in failed:
+        print(f"{cfg.command}: {c.name} {c.measured:.3e} fails its bound {c.bound}",
+              file=sys.stderr)
+    return EXIT_THRESHOLD if failed else EXIT_OK
 
 
 if __name__ == "__main__":

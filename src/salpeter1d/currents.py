@@ -468,10 +468,15 @@ def continuity_residual(psi: WaveFunction, kind: KernelKind, dt: float) -> float
 
 
 def normalize_for_kernel(psi: WaveFunction, kind: KernelKind) -> WaveFunction:
-    """Rescale so the kernel's density integrates to one; idempotent."""
-    total = density(psi, kind).integral()
-    if not total > 0.0:
+    """Rescale so the kernel's density integrates to one; idempotent.
+
+    A total that is zero, negative or not finite raises ValueError."""
+    # an overflowing total is reported once, by the error below
+    with np.errstate(over="ignore"):
+        total = density(psi, kind).integral()
+    if not 0.0 < total < np.inf:
         raise ValueError(
-            f"cannot normalize: total density is {total} (zero or negative state)"
+            f"cannot normalize: total density is {total} "
+            "(zero or negative state, or not finite)"
         )
     return WaveFunction(psi.grid, psi.values / np.sqrt(total))

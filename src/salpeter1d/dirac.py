@@ -24,7 +24,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .currents import SPIN_HALF, GridField, current, density
-from .grids import Grid1D, MomentumSpectrum, WaveFunction, to_momentum, to_position
+from .grids import (
+    Grid1D,
+    MomentumSpectrum,
+    WaveFunction,
+    _as_readonly_complex,
+    to_momentum,
+    to_position,
+)
 from .hamiltonian import apply_d_operator, d_vel, energy, evolve_free
 
 
@@ -37,15 +44,9 @@ class DiracField:
     lower: np.ndarray
 
     def __post_init__(self):
-        up = np.array(self.upper, dtype=np.complex128, copy=True)
-        lo = np.array(self.lower, dtype=np.complex128, copy=True)
-        n = self.grid.n_points
-        if up.shape != (n,) or lo.shape != (n,):
-            raise ValueError(f"components must have shape ({n},)")
-        up.setflags(write=False)
-        lo.setflags(write=False)
-        object.__setattr__(self, "upper", up)
-        object.__setattr__(self, "lower", lo)
+        for name in ("upper", "lower"):
+            values = _as_readonly_complex(getattr(self, name), self.grid.n_points)
+            object.__setattr__(self, name, values)
 
     def total_probability(self) -> float:
         dens = np.abs(self.upper) ** 2 + np.abs(self.lower) ** 2

@@ -121,9 +121,15 @@ def make_grid(x_min: float, x_max: float, n_points: int) -> Grid1D:
 
 
 def _as_readonly_complex(values, n: int) -> np.ndarray:
+    """A read-only complex copy of ``n`` finite samples; ValueError names the
+    first non-finite one."""
     vals = np.array(values, dtype=np.complex128, copy=True)
     if vals.shape != (n,):
         raise ValueError(f"values must have shape ({n},), got {vals.shape}")
+    finite = np.isfinite(vals)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise ValueError(f"values must be finite: values[{i}] = {vals[i]}")
     vals.setflags(write=False)
     return vals
 

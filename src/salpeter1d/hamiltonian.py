@@ -36,10 +36,7 @@ from .grids import (
     to_momentum,
     to_position,
 )
-
-#: spectral-mass fraction allowed at or above |p| = 1 before the series
-#: operator refuses to run (the expansion diverges outside |p| < 1)
-BAND_LIMIT_TOLERANCE = 1e-12
+from .thresholds import BAND_LIMIT_TOLERANCE
 
 
 class BandLimitError(ValueError):

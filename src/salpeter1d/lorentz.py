@@ -32,7 +32,8 @@ from .currents import (
     kernel_value,
 )
 from .hamiltonian import energy
-from .states import MOMENTUM_DISTINCT_TOL, PlaneWaveSuperposition
+from .states import PlaneWaveSuperposition
+from .thresholds import MOMENTUM_DISTINCT_TOL
 
 
 @dataclass(frozen=True)

@@ -13,15 +13,7 @@ import numpy as np
 
 from .grids import Grid1D, WaveFunction
 from .hamiltonian import energy
-
-#: minimum allowed ratio of grid width to box width
-MIN_PAD_FACTOR = 4.0
-
-#: two momenta closer than this (units of mc) count as coincident
-MOMENTUM_DISTINCT_TOL = 1e-12
-
-#: largest admissible boundary / Nyquist tail amplitude for Gaussian packets
-GAUSSIAN_TAIL_TOL = 1e-12
+from .thresholds import GAUSSIAN_TAIL_TOL, MIN_PAD_FACTOR, MOMENTUM_DISTINCT_TOL
 
 
 def _normalized(grid: Grid1D, values: np.ndarray) -> WaveFunction:
@@ -55,8 +47,9 @@ def box_state(box_width: float, n: int, grid: Grid1D) -> WaveFunction:
     x = grid.x
     inside = (x >= 0.0) & (x <= box_width)
     values = np.zeros(grid.n_points, dtype=np.complex128)
+    # x / L first: n pi x overflows at widths near the float64 limit
     values[inside] = np.sqrt(2.0 / box_width) * np.sin(
-        n * np.pi * x[inside] / box_width
+        n * np.pi * (x[inside] / box_width)
     )
     return _normalized(grid, values)
 
@@ -71,10 +64,8 @@ def superposed_box_state(box_width: float, grid: Grid1D) -> WaveFunction:
     x = grid.x
     inside = (x >= 0.0) & (x <= box_width)
     values = np.zeros(grid.n_points, dtype=np.complex128)
-    xi = x[inside]
-    values[inside] = np.sin(np.pi * xi / box_width) + np.sin(
-        2.0 * np.pi * xi / box_width
-    )
+    xi = x[inside] / box_width  # as in box_state, so no product overflows
+    values[inside] = np.sin(np.pi * xi) + np.sin(2.0 * np.pi * xi)
     return _normalized(grid, values)
 
 

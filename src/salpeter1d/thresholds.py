@@ -1,9 +1,32 @@
-"""Every numeric bound the CLI and the verification suite enforce.
+"""Every numeric bound the library, the CLI and the verification suite
+enforce.
 
-Each constant notes the check that uses it (CLI command exit codes and/or
-the corresponding test in tests/test_acceptance.py), so a threshold change
-is a one-line, reviewable event.
+Each constant notes the check that uses it (a library precondition, a CLI
+command's checks and exit code, and/or the corresponding test in
+tests/test_acceptance.py), so a threshold change is a one-line, reviewable
+event.  The CLI reads each bound when its command runs and reports it
+beside the measured value of every failed check.
 """
+
+# Minimum ratio of grid width to box width: the density kernels are
+# nonlocal, so a box needs room on both sides.  Used by: states.box_state and
+# superposed_box_state (ValueError, exit 2 through the CLI).
+MIN_PAD_FACTOR = 4.0
+
+# Two momenta closer than this (units of mc) count as coincident.  Used by:
+# states.PlaneWaveSuperposition, lorentz.constraint_report (ValueError);
+# `covariance`, which drops the coincident tuples from its sweep.
+MOMENTUM_DISTINCT_TOL = 1e-12
+
+# Largest admissible Gaussian-packet amplitude at the grid boundaries and at
+# the Nyquist momentum.  Used by: states.gaussian_state (ValueError).
+GAUSSIAN_TAIL_TOL = 1e-12
+
+# Spectral-mass fraction allowed at or above |p| = 1 before the series
+# operator refuses to run (the expansion diverges outside |p| < 1).  Used by:
+# hamiltonian.apply_hamiltonian_series (BandLimitError); `series-check`'s
+# divergence detector; test_acceptance c12.
+BAND_LIMIT_TOLERANCE = 1e-12
 
 # Four-vector covariance bound for the scalar and spin-half kernels.
 # Used by: `covariance` exit code; test_acceptance c1, c2.

@@ -4,6 +4,7 @@ import re
 import stat
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -252,6 +253,60 @@ class TestReportCommands:
         assert table["divergence_detector_fired"] == 1
 
 
+# one bound per case, tightened until its verdict fails: (argv, bound, value,
+# the stdout fragment that reports the failure or None where none does, the
+# checks that fail)
+FAILING_VERDICTS = {
+    "covariance-fourvector": (
+        ["covariance", "--velocity", "0.5"], "FOURVECTOR_RESIDUAL_MAX", 0.0, None,
+        ["scalar worst fourvector_residual", "spinhalf worst fourvector_residual"]),
+    # the scalar constraint residual is exactly 0, which a bound of 0 admits
+    "covariance-constraint": (
+        ["covariance", "--velocity", "0.5"], "CONSTRAINT_RESIDUAL_MAX", 0.0, None,
+        ["spinhalf worst eq_constraint_residual"]),
+    "covariance-witness": (
+        ["covariance", "--velocity", "0.5"], "BORN_WITNESS_MIN", 1.0,
+        "covariance: born witness MISSING",
+        ["born witness eq_constraint_residual", "born witness fourvector_residual"]),
+    "continuity": (
+        ["continuity"], "CONTINUITY_RATIO_RANGE", (4.5, 5.0), "[FAIL]",
+        ["born ratio", "scalar ratio", "spinhalf ratio"]),
+    "dirac-superposition": (
+        ["dirac-check"], "DIRAC_SUPERPOSITION_MAX", 0.0,
+        "dirac-check: superposition residuals", ["superposition residual"]),
+    "dirac-box": (
+        ["dirac-check"], "DIRAC_BOX_MAX", 0.0, "dirac-check: box residuals",
+        ["box residual"]),
+    "series-check": (["series-check"], "SERIES_GAP_MAX", 0.0, "[FAIL]", ["series_gap"]),
+}
+
+
+class TestThresholdViolations:
+    @pytest.mark.parametrize(
+        ("argv", "bound", "value", "stdout", "failed"),
+        FAILING_VERDICTS.values(), ids=FAILING_VERDICTS.keys(),
+    )
+    def test_failed_verdict_exits_1_and_still_writes(
+        self, argv, bound, value, stdout, failed, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(thresholds, bound, value)
+        out = tmp_path / "report.csv"
+        assert main(argv + ["--out", str(out)]) == 1
+        assert _read_csv(out)[1]
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        if stdout is not None:
+            assert [line for line in lines if stdout in line and (
+                "[FAIL]" in line or "MISSING" in line)], lines
+        # one stderr line per failed check: its name, measured value and bound
+        pattern = re.compile(rf"{argv[0]}: (.+) (\S+) fails its bound (.+)")
+        reported = [pattern.fullmatch(line) for line in captured.err.splitlines()]
+        assert all(reported), captured.err
+        assert [m[1] for m in reported] == failed
+        for m in reported:
+            assert float(m[2]) > 0.0 and m[3] == str(value)
+
+
 class TestConfigAndIOErrors:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize(
@@ -306,6 +361,21 @@ class TestConfigAndIOErrors:
         assert "error (invalid config): cannot normalize" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("command", ["figure1", "figure2", "dirac-check"])
+    def test_widest_finite_box_runs_without_warnings(self, command, tmp_path):
+        # the box phase n pi (x / L) stays finite at L = 4e307, where
+        # n pi x / L overflowed into three RuntimeWarnings and an exit 2
+        out = tmp_path / "wide.csv"
+        assert main([command, "--box-width", "4e307", "--out", str(out)]) == 0
+        header, rows = _read_csv(out)
+        table = np.array([r[1:] for r in rows], dtype=float)
+        assert np.isfinite(table).all()
+        if command == "figure1":
+            # deep in the non-relativistic limit the scalar density is Born's
+            born, scalar = table.T
+            assert np.max(np.abs(scalar - born)) <= 1e-14 * born.max()
+
     @pytest.mark.parametrize(
         ("fill", "how"),
         [
@@ -356,7 +426,8 @@ class TestConfigAndIOErrors:
             (["dirac-check", "--grid-points", "256"], "equivalence_residuals",
              lambda r: (np.nan, r[1]), "current_residual"),
             (["series-check"], "apply_hamiltonian",
-             lambda r: s.WaveFunction(r.grid, np.full_like(r.values, np.nan)), "value"),
+             lambda r: SimpleNamespace(grid=r.grid, values=np.full_like(r.values, np.nan)),
+             "value"),
         ],
         ids=["covariance", "continuity", "dirac-check", "series-check"],
     )

@@ -831,6 +831,16 @@ class TestNormalizeForKernel:
         twice = s.normalize_for_kernel(once, s.SPIN_HALF)
         assert np.max(np.abs(twice.values - once.values)) < 1e-12
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("kind", [s.BORN, s.SCALAR, s.SPIN_HALF], ids=str)
+    def test_overflowing_total_rejected_without_warnings(self, kind):
+        # |psi|^2 overflows: the total is inf, which once came back as an
+        # all-zero state after an overflow warning
+        g = s.make_grid(-16, 16, 256)
+        psi = s.WaveFunction(g, 1e200 * s.gaussian_state(0.0, 0.5, 0.4, g).values)
+        with pytest.raises(ValueError, match="total density is inf"):
+            s.normalize_for_kernel(psi, kind)
+
     def test_zero_state_rejected(self):
         g = s.make_grid(-16, 16, 64)
         zero = s.WaveFunction(g, np.zeros(64))

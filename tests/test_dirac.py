@@ -70,6 +70,14 @@ class TestDiracCurrent:
         with pytest.raises(ValueError, match="shape"):
             s.DiracField(g, np.zeros(64), np.zeros(63))
 
+    @pytest.mark.parametrize("component", ["upper", "lower"])
+    def test_nonfinite_component_rejected(self, component):
+        g = s.make_grid(-12, 12, 64)
+        parts = {"upper": np.zeros(64), "lower": np.zeros(64)}
+        parts[component][7] = np.nan
+        with pytest.raises(ValueError, match=r"values must be finite: values\[7\]"):
+            s.DiracField(g, **parts)
+
 
 class TestDiracEvolve:
     def test_zero_time_is_identity(self):

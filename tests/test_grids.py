@@ -193,6 +193,16 @@ def test_wrong_length_rejected():
         s.WaveFunction(g, np.zeros(65))
 
 
+@pytest.mark.parametrize("field", [s.WaveFunction, s.MomentumSpectrum])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_nonfinite_samples_rejected_naming_the_first(field, bad):
+    g = s.make_grid(-4, 4, 64)
+    values = np.zeros(64, dtype=complex)
+    values[[5, 9]] = bad
+    with pytest.raises(ValueError, match=r"values must be finite: values\[5\] = "):
+        field(g, values)
+
+
 def test_inner_product_adjoint_pairing():
     g = s.make_grid(-8, 8, 128)
     rng = np.random.default_rng(4)
