@@ -40,27 +40,48 @@ family takes gamma - 1 = gamma^2 u^2/(gamma + 1), which vanishes exactly where
 u does, so its singular pairs are exactly the opposite pairs p1 + p2 == 0;
 :func:`kernel_singular` applies that rule and evaluates no gamma.
 
-The fast path is a table of separable pairs: a kernel whose weights split
-as F = sum_A A(p1) A(p2) and F u = B(p1) C(p2) + C(p1) B(p2) has
+The fast path, the default, is a table with one entry per kernel: its
+density symbols, each a factor of the on-shell point (p, E), and its
+current.  A kernel whose weights split as F = sum_A A(p1) A(p2) and
+F u = B(p1) C(p2) + C(p1) B(p2) has
 
     rho = sum_A |A psi|^2,    J = 2 Re(conj(B psi) C psi),
 
-exactly equal to the double sum.  Every symbol of a pair acts on the
-state's one spectrum, ``WaveFunction.spectrum``, and is written as a
-factor of the on-shell point (p, E), evaluated on the grid's one energy
-lattice, ``Grid1D.e_fft`` (see :mod:`.grids`).  So a state's whole field
-set, densities, currents and continuity residual, takes one forward FFT
-and one evaluation of E:
+exactly equal to the double sum.  The Born weight u has no such split, but
+on the mass shell u = (E2 - E1)/(p2 - p1) for p1 != p2, so its pair terms
+at momentum lag q = l - k sum to C(q)/(q dp), where
+C(q) = sum_k phi_k* phi_{k+q} (E_{k+q} - E_k) comes from one zero-padded
+2N-point correlation of phi and E phi (Press et al., Numerical Recipes,
+3rd ed., section 13.2); see :func:`_born_current`.  Every entry acts on
+the state's one spectrum, ``WaveFunction.spectrum``, and on the grid's one
+energy lattice, ``Grid1D.e_fft`` (see :mod:`.grids`).  So a state's whole
+field set, densities, currents and continuity residual, takes one forward
+FFT and one evaluation of E:
 
-    born       density {1}          current: none (u has no finite split)
+    born       density {1}          current: correlation, O(N log N)
     scalar     density {d+, d-}     current (d+, d-)
     spinhalf   density {1, d}       current (1, d)
 
 with gamma = d+ d+ + d- d- and gamma u = d+ d- + d- d+.  literal:0 is the
-scalar kernel and uses its pairs; literal:n with n >= 1 diverges on every
+scalar kernel and uses its entry; literal:n with n >= 1 diverges on every
 centered lattice, which holds the opposite pair (p_1, p_{n-1}).  The scalar
 separation relies on the sign-carrying square-root factor: it holds for all
 momentum sign combinations only when d- is odd in p.
+
+Causality.  The separable pairs give the light-cone components of the
+current as squares, for any state and exactly on the lattice:
+
+    scalar     rho +/- J = |S+/- psi|^2,  S+ = d+ + d- = sqrt(b),
+                                          S- = d+ - d- = sqrt(a)
+    spinhalf   rho +/- J = |(1 +/- d) psi|^2
+
+since d+^2 + d-^2 = E, 2 d+ d- = p and (1 + d1 d2) +/- (d1 + d2) =
+(1 +/- d1)(1 +/- d2).  So |J| <= rho at every point, as a four-current that
+is non-negative in every frame needs: otherwise a boost along J with
+velocity between rho/|J| and 1 makes the density negative.  A boost scales
+a and b by k and 1/k, so both squares stay non-negative in every frame.
+The Born current has no such form, and exceeds its density on ordinary
+states: |J| > rho is Born's superluminal current.
 """
 
 from dataclasses import dataclass
@@ -298,35 +319,6 @@ def _kernel_sum(psi: WaveFunction, kind: KernelKind, with_velocity: bool) -> np.
     return np.fft.ifft(bins).real * (n * g.dp**2 / (2.0 * np.pi))
 
 
-# The separable pairs of the module docstring, by kernel name: the density
-# symbols A, and the current pair (B, C) or None, each a function of the
-# on-shell point (p, E).  None stands for the identity, which needs no
-# transform.
-_PAIRS = {
-    "born": ((None,), None),
-    "scalar": ((d_plus_shell, d_minus_shell), (d_plus_shell, d_minus_shell)),
-    "spinhalf": ((None, d_vel_shell), (None, d_vel_shell)),
-}
-
-
-def _separable(kind: KernelKind, grid: Grid1D, path: str, field: str):
-    """The symbols ``field`` ("density" or "current") uses on ``path``, or
-    None for the double sum."""
-    if path not in ("auto", "fast", "generic"):
-        raise ValueError(f"unknown path {path!r}")
-    if kind.name == "literal" and kind.order >= 1:
-        # raises, on every path, the error of the first singular pair in row
-        # order of the lattice's pair matrix
-        kernel_value(kind, grid.p[1], grid.p[-1])
-    if path == "generic":
-        return None
-    density_symbols, current_pair = _PAIRS["scalar" if kind.name == "literal" else kind.name]
-    symbols = density_symbols if field == "density" else current_pair
-    if symbols is None and path == "fast":
-        raise ValueError(f"no fast {field} path for kernel {kind}")
-    return symbols
-
-
 def _shell_symbol(grid: Grid1D, symbol) -> np.ndarray:
     """symbol(p, E) in FFT order, on the grid's one energy lattice; checked
     like every symbol (see :func:`.grids.fft_symbol`)."""
@@ -350,20 +342,81 @@ def _pair_density(grid, spectrum, symbols, values) -> np.ndarray:
     return rho
 
 
-def _pair_current(grid, spectrum, pair, values=None) -> np.ndarray:
-    """2 Re(conj(B psi) C psi) of the current pair (B, C)."""
-    b, c = (_image(grid, spectrum, a, values) for a in pair)
-    return 2.0 * np.real(np.conj(b) * c)
+def _pair_current(b, c):
+    """The current 2 Re(conj(B psi) C psi) of the pair (B, C), as a function
+    of the state."""
+
+    def field(psi: WaveFunction) -> np.ndarray:
+        bp, cp = (_image(psi.grid, psi.spectrum, a, psi.values) for a in (b, c))
+        return 2.0 * np.real(np.conj(bp) * cp)
+
+    return field
 
 
-def density(psi: WaveFunction, kind: KernelKind, path: str = "auto") -> GridField:
+def _born_current(psi: WaveFunction) -> np.ndarray:
+    """The Born current's lattice double sum, from one correlation.
+
+    With phi as in :func:`_kernel_sum`, the pairs at lag q = l - k, 0 < |q|
+    < N, have u = (E_l - E_k)/(q dp) and add up to W(q) = C(q)/(q dp), with
+    C(q) = A(q) - conj(A(-q)) and A(q) = sum_k phi_k* (E phi)_{k+q} the
+    linear correlation of phi and E phi: one zero-padded 2N-point FFT pair.
+    W(0) = sum_k |phi_k|^2 p_k/E_k.  Lags q and q - N fall into one bin of
+    the N-point inverse FFT but have different u, so each is divided before
+    they are folded.  The conj(A(-q)) half of W is the conjugate mirror of
+    the A(q) half, and mirrors add the same real part to the field: J is
+    twice the real part of the field of A(q)/(q dp) alone, with half of
+    W(0).  Exact, like the oracle; O(N log N).
+    """
+    g = psi.grid
+    n = g.n_points
+    phi = np.fft.fftshift(psi.spectrum) * (g.dx / np.sqrt(2.0 * np.pi))
+    e = np.fft.fftshift(g.e_fft)
+    w = np.fft.fft(phi, 2 * n)
+    np.conjugate(w, out=w)
+    w *= np.fft.fft(e * phi, 2 * n)
+    w = np.fft.ifft(w)
+    q = np.fft.fftfreq(2 * n, 1.0 / (2 * n))  # lags 0..N-1, then -N..-1
+    q[0] = 1.0  # lag 0 is set below
+    w /= q * g.dp
+    w[0] = 0.5 * np.sum(np.abs(phi) ** 2 * (g.p / e))
+    w[n] = 0.0  # lag -N holds no pair
+    return np.fft.ifft(w[:n] + w[n:]).real * (n * g.dp**2 / np.pi)
+
+
+# The fast path's table of the module docstring, by kernel name: the density
+# symbols A, each a function of the on-shell point (p, E) or None for the
+# identity, which needs no transform; and the current, a function of the
+# state.
+_PAIRS = {
+    "born": ((None,), _born_current),
+    "scalar": ((d_plus_shell, d_minus_shell), _pair_current(d_plus_shell, d_minus_shell)),
+    "spinhalf": ((None, d_vel_shell), _pair_current(None, d_vel_shell)),
+}
+
+
+def _separable(kind: KernelKind, grid: Grid1D, path: str, field: str):
+    """The table entry ``field`` ("density" or "current") uses on ``path``,
+    or None for the double sum."""
+    if path not in ("fast", "generic"):
+        raise ValueError(f"unknown path {path!r}; expected 'fast' or 'generic'")
+    if kind.name == "literal" and kind.order >= 1:
+        # raises, on every path, the error of the first singular pair in row
+        # order of the lattice's pair matrix
+        kernel_value(kind, grid.p[1], grid.p[-1])
+    if path == "generic":
+        return None
+    density_symbols, current_field = _PAIRS["scalar" if kind.name == "literal" else kind.name]
+    return density_symbols if field == "density" else current_field
+
+
+def density(psi: WaveFunction, kind: KernelKind, path: str = "fast") -> GridField:
     """Probability density of a state under the chosen kernel.
 
-    ``path`` selects "fast" (the kernel's separable pair, on the state's
-    one spectrum), "generic" (double-sum oracle), or "auto" (fast; every kernel
-    has a density pair).  A literal kernel of order >= 1 raises
-    :class:`KernelSingularityError` on every path before any field is
-    built: every centered lattice holds a pair where it diverges.
+    ``path`` selects "fast" (the default: the kernel's density symbols, on
+    the state's one spectrum) or "generic" (the double-sum oracle).  A
+    literal kernel of order >= 1 raises :class:`KernelSingularityError` on
+    both paths before any field is built: every centered lattice holds a
+    pair where it diverges.
     """
     symbols = _separable(kind, psi.grid, path, "density")
     if symbols is None:
@@ -372,18 +425,18 @@ def density(psi: WaveFunction, kind: KernelKind, path: str = "auto") -> GridFiel
     return GridField(psi.grid, _pair_density(psi.grid, spectrum, symbols, psi.values))
 
 
-def current(psi: WaveFunction, kind: KernelKind, path: str = "auto") -> GridField:
+def current(psi: WaveFunction, kind: KernelKind, path: str = "fast") -> GridField:
     """Probability current of a state under the chosen kernel.
 
-    The scalar and spin-half currents have separable pairs, 2 Re(conj(D+ psi)
-    D- psi) and 2 Re(conj(psi) D psi), taken from the state's one spectrum
-    on "auto" and "fast".  The Born current has none: it goes through the
-    generic double sum with weight F * u, and "fast" raises ValueError.
+    On "fast", the default, every kernel's current comes from the state's
+    one spectrum in O(N log N): the scalar and spin-half pairs, 2 Re(conj(D+
+    psi) D- psi) and 2 Re(conj(psi) D psi), and the Born current's
+    correlation form.  "generic" takes the double-sum oracle with weight
+    F * u.
     """
-    pair = _separable(kind, psi.grid, path, "current")
-    if pair is None:
-        return GridField(psi.grid, _kernel_sum(psi, kind, True))
-    return GridField(psi.grid, _pair_current(psi.grid, psi.spectrum, pair, psi.values))
+    field = _separable(kind, psi.grid, path, "current")
+    values = _kernel_sum(psi, kind, True) if field is None else field(psi)
+    return GridField(psi.grid, values)
 
 
 def fourcurrents(kind: KernelKind, p, a, t, x):
@@ -441,11 +494,10 @@ def continuity_residual(psi: WaveFunction, kind: KernelKind, dt: float) -> float
     band, with E dt << 1 over its occupied band, the residual decays as
     dt^2.
     """
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    if not 0.0 < dt < np.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt}")
     g = psi.grid
-    symbols = _separable(kind, g, "auto", "density")
-    pair = _separable(kind, g, "auto", "current")
+    symbols = _separable(kind, g, "fast", "density")
     cos = _shell_symbol(g, lambda p, e: np.cos(e * dt))
     sin = _shell_symbol(g, lambda p, e: np.sin(e * dt))
     drho = 0.0
@@ -459,10 +511,7 @@ def continuity_residual(psi: WaveFunction, kind: KernelKind, dt: float) -> float
         drho = drho + (u.real * v.imag - u.imag * v.real)
         del u, v
     del cos, sin  # frees their memory for the current's transforms
-    if pair is None:
-        j = _kernel_sum(psi, kind, True)
-    else:
-        j = _pair_current(g, psi.spectrum, pair, psi.values)
+    j = _separable(kind, g, "fast", "current")(psi)
     residual = 2.0 * drho / dt + spectral_derivative(g, j)
     return float(np.max(np.abs(residual)))
 

@@ -29,6 +29,7 @@ from .grids import (
     MomentumSpectrum,
     WaveFunction,
     _as_readonly_complex,
+    require_finite,
     to_momentum,
     to_position,
 )
@@ -68,6 +69,7 @@ def dirac_current(field: DiracField) -> tuple[GridField, GridField]:
 
 def dirac_evolve(field: DiracField, t: float) -> DiracField:
     """Free Dirac evolution by the exact per-mode 2x2 matrix exponential."""
+    require_finite(t=t)
     g = field.grid
     up_k = to_momentum(WaveFunction(g, field.upper)).values
     lo_k = to_momentum(WaveFunction(g, field.lower)).values
@@ -107,6 +109,7 @@ def equivalence_residuals(psi: WaveFunction, t: float) -> tuple[float, float]:
     evolution gap: sup-norm of dirac_evolve(lift(psi), t) - lift(evolve(psi, t))
     over both spinor components.
     """
+    require_finite(t=t)
     lifted = lift(psi)
     rho_d, j_d = dirac_current(lifted)
     rho_h = density(psi, SPIN_HALF)

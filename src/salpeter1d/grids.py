@@ -47,6 +47,14 @@ def energy(p):
     return np.hypot(np.asarray(p, dtype=np.float64), 1.0)
 
 
+def require_finite(**scalars) -> None:
+    """Raise ValueError naming the first of the keyword arguments that is not
+    finite; called where a scalar argument enters, before any array is built."""
+    for name, value in scalars.items():
+        if not np.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 

@@ -32,6 +32,7 @@ from .grids import (
     WaveFunction,
     apply_symbol,
     energy,
+    require_finite,
     spectral_multiplier,
     to_momentum,
     to_position,
@@ -168,4 +169,5 @@ def apply_hamiltonian_series(psi: WaveFunction, k_max: int) -> WaveFunction:
 
 def evolve_free(psi: WaveFunction, t: float) -> WaveFunction:
     """Free unitary evolution by time t: multiplier exp(-i E(p) t)."""
+    require_finite(t=t)
     return apply_symbol(psi, lambda p: np.exp(-1j * energy(p) * t))

@@ -11,7 +11,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .grids import Grid1D, WaveFunction
+from .grids import Grid1D, WaveFunction, require_finite
 from .hamiltonian import energy
 from .thresholds import GAUSSIAN_TAIL_TOL, MIN_PAD_FACTOR, MOMENTUM_DISTINCT_TOL
 
@@ -78,6 +78,7 @@ def gaussian_state(
     exceed ``GAUSSIAN_TAIL_TOL`` at the grid boundaries or at the Nyquist
     momentum.
     """
+    require_finite(x0=x0, p0=p0, sigma_p=sigma_p)
     if sigma_p <= 0.0:
         raise ValueError(f"sigma_p must be positive, got {sigma_p}")
     sigma_x = 0.5 / sigma_p

